@@ -7,10 +7,12 @@ Five lanes:
   through the ALU synthesis run; the engine must hand back a
   ``PartialSynthesisResult`` carrying the already-completed instructions,
   and resuming from it must complete a verifying design.
-* **worker containment** — the same synthesis under the ``isolated``
-  backend with an injected worker crash, hang, and OOM;
-  every death must be classified and contained (correct final design, no
-  orphaned worker processes).
+* **worker containment** — the same synthesis under the sandboxed
+  ``incremental-subprocess`` backend with an injected child crash, hang,
+  and OOM; every death must be classified and contained (correct final
+  design, balanced spawn/reap accounting, no live child processes), and
+  a child that crashes on every solve must trip the circuit breaker
+  while the run still completes.
 * **subprocess backend misbehavior** — an external DIMACS solver that
   crashes or prints garbage must degrade to a canonical
   ``unknown(backend-error)`` verdict, never a raw exception or a bogus
@@ -35,12 +37,15 @@ Run: ``PYTHONPATH=src python scripts/fault_injection_smoke.py``
 
 import os
 import sys
+import threading
 
 from repro.designs import alu_machine
-from repro.runtime import FaultInjector, SolverWorkerPool
+from repro.obs import METRICS
+from repro.runtime import FaultInjector
 from repro.runtime.reasons import is_canonical
 from repro.smt import Solver, terms
 from repro.smt.backends import SolverConfig
+from repro.smt.backends.incremental_subprocess import WORKER_ENV
 from repro.smt.backends.subprocess_dimacs import SubprocessDimacsBackend
 from repro.synthesis import PartialSynthesisResult, synthesize, verify_design
 
@@ -50,36 +55,85 @@ _FAKE_SOLVER = os.path.join(
 )
 
 
-def worker_containment(problem):
-    """Isolated execution survives an injected crash, hang, and OOM."""
-    pool = SolverWorkerPool(size=2, heartbeat_interval=0.25,
-                            mem_limit_mb=512)
-    injector = FaultInjector()
-    injector.inject_worker_crash(at_request=1)
-    injector.inject_worker_hang(at_request=3)
-    injector.inject_worker_oom(at_request=5)
-    try:
-        with injector.installed():
-            result = synthesize(
-                problem, timeout=300, check_independence=False,
-                config=SolverConfig(backend="isolated", worker_pool=pool))
-    finally:
-        accounting = pool.shutdown()
+def _live_worker_pids():
+    """This process's children still running the sandboxed worker."""
+    me = str(os.getpid())
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                ppid = handle.read().rsplit(")", 1)[1].split()[1]
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read()
+        except OSError:
+            continue
+        if ppid == me and b"repro.runtime.incremental_worker" in cmdline:
+            live.append(int(entry))
+    return live
 
-    fired = [kind for kind, _ in injector.fired]
-    assert fired == ["worker:crash", "worker:hang", "worker:oom"], fired
-    for name, expected in alu_machine.REFERENCE_HOLE_VALUES.items():
-        assert result.hole_values_for(name) == expected, name
-    verdict = verify_design(result.completed_design, problem.spec,
-                            problem.alpha)
-    assert verdict.ok, verdict.summary()
-    assert accounting["crashes"] >= 3, accounting
-    assert accounting["watchdog_kills"] >= 1, accounting
-    assert accounting["spawned"] == accounting["reaped"], accounting
-    assert accounting["orphans"] == 0, accounting
-    assert not pool.live_pids(), "orphaned worker processes"
-    print("worker containment: crash+hang+oom contained, design verifies, "
-          f"accounting balanced {accounting}")
+
+def _sandboxed_run(problem, injector):
+    """Synthesize under the sandboxed backend; returns (result, delta)."""
+    before = METRICS.snapshot()
+    with injector.installed():
+        result = synthesize(
+            problem, timeout=300, check_independence=False,
+            config=SolverConfig(backend="incremental-subprocess"))
+    delta = METRICS.delta_since(before)
+    return result, {k: v for k, v in delta.items()
+                    if k.startswith("worker.")}
+
+
+def worker_containment(problem):
+    """The sandboxed backend survives an injected crash, hang, and OOM."""
+    # Every child of this lane runs under a 512 MiB heap rlimit, so the
+    # injected OOM breaches the child's cap instead of the machine's.
+    previous = os.environ.get(WORKER_ENV)
+    os.environ[WORKER_ENV] = (f"{sys.executable} -m "
+                              "repro.runtime.incremental_worker "
+                              "--mem-limit-mb 512")
+    try:
+        injector = FaultInjector()
+        injector.inject_worker_crash(at_request=1)
+        injector.inject_worker_hang(at_request=3)
+        injector.inject_worker_oom(at_request=5)
+        result, delta = _sandboxed_run(problem, injector)
+        fired = [kind for kind, _ in injector.fired]
+        assert fired == ["worker:crash", "worker:hang", "worker:oom"], fired
+        for name, expected in alu_machine.REFERENCE_HOLE_VALUES.items():
+            assert result.hole_values_for(name) == expected, name
+        verdict = verify_design(result.completed_design, problem.spec,
+                                problem.alpha)
+        assert verdict.ok, verdict.summary()
+        assert delta.get("worker.crashes", 0) >= 3, delta
+        assert delta.get("worker.watchdog_kills", 0) >= 1, delta
+        assert delta["worker.spawned"] == delta["worker.reaped"], delta
+        assert not _live_worker_pids(), "orphaned worker processes"
+        stragglers = [t.name for t in threading.enumerate()
+                      if t.name == "incremental-worker-reader"]
+        assert not stragglers, f"reader threads outlived the run: {stragglers}"
+        print("worker containment: crash+hang+oom contained, design "
+              f"verifies, accounting balanced {delta}")
+
+        # A child that crashes on every solve trips each solver's
+        # circuit breaker; the run completes in-process.
+        injector = FaultInjector().inject_worker_crash(at_request="all")
+        result, delta = _sandboxed_run(problem, injector)
+        for name, expected in alu_machine.REFERENCE_HOLE_VALUES.items():
+            assert result.hole_values_for(name) == expected, name
+        assert delta.get("worker.fallbacks", 0) >= 1, delta
+        assert delta["worker.spawned"] == delta["worker.reaped"], delta
+        assert not _live_worker_pids(), "orphaned worker processes"
+        print("worker containment: persistent crasher tripped "
+              f"{delta['worker.fallbacks']} circuit breaker(s), run "
+              "completed")
+    finally:
+        if previous is None:
+            os.environ.pop(WORKER_ENV, None)
+        else:
+            os.environ[WORKER_ENV] = previous
 
 
 def subprocess_backend_misbehavior(problem):

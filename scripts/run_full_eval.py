@@ -72,8 +72,9 @@ def main():
     parser.add_argument(
         "--backend", metavar="NAME", default=None,
         help="solver backend for every Table 1 row (a name registered "
-        "with repro.smt.backends, e.g. inprocess, isolated, "
-        "subprocess-dimacs; default: $REPRO_BACKEND or inprocess); "
+        "with repro.smt.backends, e.g. inprocess, "
+        "incremental-subprocess (sandboxed), subprocess-dimacs, portfolio; "
+        "default: $REPRO_BACKEND or inprocess); "
         "the rows record which backend ran",
     )
     args = parser.parse_args()

@@ -10,7 +10,7 @@ The legs of the layer, each usable alone:
   :class:`trace_context`) stamping every event of a service job with one
   correlation id across daemon, runner and worker processes.
 * :mod:`repro.obs.metrics` — :data:`METRICS`, the unified registry
-  absorbing the encode counters, worker-pool health, budget consumption
+  absorbing the encode counters, sandboxed-worker health, budget consumption
   and trace-cache hit rates into one snapshot/delta API, plus
   fixed-boundary latency histograms (:meth:`MetricsRegistry.observe`).
 * :mod:`repro.obs.flight` — the crash flight recorder: a bounded ring of

@@ -1,7 +1,7 @@
 """The unified metrics registry: one snapshot/delta API for every counter.
 
 Before this module the repo's counters were scattered: encode effort in
-``repro.smt.counters``, worker-pool health in ``SolverWorkerPool.stats``,
+``repro.smt.counters``, worker health in per-pool stats dicts,
 budget consumption inside ``Budget`` instances, trace-cache hit rates on
 ``TraceCache``.  Each had its own ad-hoc reading convention, which is why
 no report could answer "what did this run cost, in every unit we track?".

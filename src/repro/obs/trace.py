@@ -16,9 +16,10 @@ no-op fast path is the design constraint everything else bends around —
 tracing must be *always available* without making the untraced hot path
 measurably slower (the test suite guards this).
 
-Span stacks are thread-local: concurrent per-instruction dispatch threads
-each nest their own spans correctly.  Work submitted to another thread can
-pin its parent explicitly with ``span_parent=...``.
+Span stacks are thread-local: concurrent threads (service runners,
+portfolio race members) each nest their own spans correctly.  Work
+submitted to another thread can pin its parent explicitly with
+``span_parent=...``.
 """
 
 from __future__ import annotations

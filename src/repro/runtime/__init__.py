@@ -15,18 +15,17 @@ This package is the resource-control spine under the synthesis stack:
 * :class:`FaultInjector` — deterministic UNKNOWN / timeout / malformed-model
   / worker-crash / worker-hang / worker-OOM injection, so degradation and
   containment paths are testable;
-* :class:`SolverWorkerPool` — sandboxed subprocess workers (rlimit caps,
-  heartbeats, watchdog hard-kill) with crash classification into the
-  taxonomy (:class:`WorkerCrashed`, :class:`WorkerKilled`) and a
-  per-query circuit breaker that falls back to in-process solving;
+* ``incremental_worker`` — the sandboxed solver child (rlimit caps,
+  heartbeats, fault directives, exit codes) that the
+  ``incremental-subprocess`` backend spawns and supervises;
 * ``reasons`` — the canonical machine-readable reason taxonomy
-  (:func:`normalize_reason`) every UNKNOWN verdict, worker outcome and
+  (:func:`normalize_reason`) every UNKNOWN verdict, child death and
   backend result is mapped through.
 
 It deliberately imports nothing from ``repro.smt`` or ``repro.synthesis``;
-those layers import *it*.  (The worker *child* process speaks the DIMACS
-wire format and therefore imports ``repro.smt`` — but only inside the
-child's request loop, never at parent import time.)
+those layers import *it*.  (The worker *child* process hosts the CDCL
+core and therefore imports ``repro.smt`` — but only inside the child's
+request loop, never at parent import time.)
 """
 
 from repro.runtime.budget import Budget
@@ -37,9 +36,6 @@ from repro.runtime.errors import (
     RuntimeFault,
     SolverUnknown,
     SoundnessViolation,
-    WorkerCrashed,
-    WorkerFault,
-    WorkerKilled,
 )
 from repro.runtime.faults import FaultInjector, active_injector
 from repro.runtime.reasons import (
@@ -54,7 +50,6 @@ from repro.runtime.retry import (
     decorrelated_jitter,
     run_with_retry,
 )
-from repro.runtime.workers import SolverWorkerPool, WorkerOutcome
 
 __all__ = [
     "CANONICAL_REASONS",
@@ -67,9 +62,6 @@ __all__ = [
     "ResourceExceeded",
     "SolverUnknown",
     "MalformedModel",
-    "WorkerFault",
-    "WorkerCrashed",
-    "WorkerKilled",
     "SoundnessViolation",
     "RetryPolicy",
     "Attempt",
@@ -77,6 +69,4 @@ __all__ = [
     "decorrelated_jitter",
     "FaultInjector",
     "active_injector",
-    "SolverWorkerPool",
-    "WorkerOutcome",
 ]

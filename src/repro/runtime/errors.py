@@ -16,11 +16,11 @@ answer, because the recovery differs:
     the solver claimed SAT but produced an assignment violating variable
     widths — a solver bug (or an injected fault); treated as UNKNOWN so a
     bad backend cannot silently corrupt synthesized control logic.
-``WorkerCrashed`` / ``WorkerKilled``
-    an isolated solver worker process died (crash, rlimit breach) or was
-    hard-killed by the pool's watchdog (missed heartbeats, deadline
-    overshoot); the query itself is unharmed, so most of these are
-    retryable on a respawned worker.
+``SolverUnknown(reason="worker-crashed")`` (and ``worker-oom``,
+``worker-cpu``, ``heartbeat-lost``)
+    a sandboxed solver child died (crash, rlimit breach) or was killed by
+    its watchdog; the query itself is unharmed, so most of these are
+    retryable on a respawned child (see ``repro.runtime.reasons``).
 ``SoundnessViolation``
     two solver backends returned contradictory SAT/UNSAT verdicts on the
     same query — one of them is *wrong*, and synthesis must abort rather
@@ -42,9 +42,6 @@ __all__ = [
     "ResourceExceeded",
     "SolverUnknown",
     "MalformedModel",
-    "WorkerFault",
-    "WorkerCrashed",
-    "WorkerKilled",
     "SoundnessViolation",
 ]
 
@@ -89,47 +86,6 @@ class MalformedModel(SolverUnknown):
     def __init__(self, message=""):
         super().__init__(message or "solver produced a malformed model",
                          reason="malformed-model")
-
-
-class WorkerFault(SolverUnknown):
-    """An isolated solver worker failed before producing a verdict.
-
-    Subclasses carry machine-readable reasons; ``exit_code`` is the
-    worker's raw exit status (negative for signal deaths) when known.
-    """
-
-    def __init__(self, message="", reason="worker-fault", exit_code=None):
-        super().__init__(message or f"solver worker failed ({reason})",
-                         reason=reason)
-        self.exit_code = exit_code
-
-
-class WorkerCrashed(WorkerFault):
-    """A worker process died on its own: crash, OOM rlimit, CPU rlimit.
-
-    ``reason`` is ``"worker-crashed"`` (unexplained death),
-    ``"worker-oom"`` (memory rlimit breach) or ``"worker-cpu"`` (CPU
-    rlimit breach).  Crashes and OOMs are retryable on a fresh worker;
-    CPU-cap breaches are not (a respawn would burn the same CPU again).
-    """
-
-    def __init__(self, message="", reason="worker-crashed", exit_code=None):
-        super().__init__(message or f"solver worker crashed ({reason})",
-                         reason=reason, exit_code=exit_code)
-
-
-class WorkerKilled(WorkerFault):
-    """The pool's watchdog hard-killed a worker.
-
-    ``reason`` is ``"heartbeat-lost"`` (the worker went silent — a hang;
-    retryable on a respawn) or ``"deadline"`` (the query's wall-clock
-    budget expired with the worker still solving; retrying cannot create
-    more wall clock).
-    """
-
-    def __init__(self, message="", reason="heartbeat-lost", exit_code=None):
-        super().__init__(message or f"solver worker killed ({reason})",
-                         reason=reason, exit_code=exit_code)
 
 
 class SoundnessViolation(RuntimeFault):

@@ -18,13 +18,13 @@ Supported faults:
   corrupted with deterministic out-of-width garbage, as if the backend
   were buggy;
 * ``inject_worker_crash(at_request=n)`` / ``inject_worker_hang(...)`` /
-  ``inject_worker_oom(...)`` — the n-th request submitted to a
-  :class:`repro.runtime.workers.SolverWorkerPool` carries a directive the
-  worker obeys: die with a crash exit code mid-check, go silent (stop
-  heartbeating) so the watchdog must reap it, or allocate until the
-  memory rlimit breaches.  ``at_request="all"`` makes the fault
-  persistent (every request), which is how the circuit-breaker fallback
-  is exercised.
+  ``inject_worker_oom(...)`` — the n-th solve sent to a sandboxed
+  ``incremental-subprocess`` child (process-wide, counted per solve)
+  carries a directive the child obeys: die with a crash exit code
+  mid-check, go silent (stop heartbeating) so the watchdog must reap it,
+  or allocate until the memory rlimit breaches.  ``at_request="all"``
+  makes the fault persistent (every solve), which is how the circuit
+  breaker's in-process fallback is exercised.
 * ``inject_journal_fault(at_append=n)`` — the n-th append to the
   synthesis service's write-ahead journal fails as if the underlying
   write/fsync had errored; the service must surface a typed
@@ -71,7 +71,7 @@ class FaultInjector:
         self.seed = seed
         self.check_count = 0
         self.model_count = 0
-        self.request_count = 0   # worker-pool submissions, process-wide
+        self.request_count = 0   # sandboxed-child solves, process-wide
         self.journal_count = 0   # service journal appends, process-wide
         self._unknown_at = {}    # ordinal -> reason
         self._malformed_at = set()
@@ -99,16 +99,16 @@ class FaultInjector:
         return self
 
     def inject_worker_crash(self, at_request):
-        """The ``at_request``-th pool submission dies with a crash exit."""
+        """The ``at_request``-th child solve dies with a crash exit."""
         return self._plan_worker(at_request, "crash")
 
     def inject_worker_hang(self, at_request):
-        """The ``at_request``-th pool submission goes silent (no
+        """The ``at_request``-th child solve goes silent (no
         heartbeats); the watchdog must hard-kill it."""
         return self._plan_worker(at_request, "hang")
 
     def inject_worker_oom(self, at_request):
-        """The ``at_request``-th pool submission allocates until its
+        """The ``at_request``-th child solve allocates until its
         memory rlimit breaches."""
         return self._plan_worker(at_request, "oom")
 
@@ -152,11 +152,10 @@ class FaultInjector:
         return reason
 
     def on_worker_request(self):
-        """Called by the worker pool per submission; returns a directive
-        (``"crash"``/``"hang"``/``"oom"``) or ``None``.
+        """Called by the sandboxed backend per child solve; returns a
+        directive (``"crash"``/``"hang"``/``"oom"``) or ``None``.
 
-        Thread-safe enough for concurrent dispatch: ordinals are taken
-        under the GIL and each planned ordinal fires exactly once.
+        Each planned ordinal fires exactly once.
         """
         self.request_count += 1
         directive = self._worker_at.pop(self.request_count, None)

@@ -1,7 +1,7 @@
 """Canonical taxonomy of UNKNOWN-verdict reasons.
 
 Every path that gives up without a SAT/UNSAT answer — the in-process CDCL
-core's cancellation checkpoints, the isolated worker pool's watchdog and
+core's cancellation checkpoints, the sandboxed backend's watchdog and
 crash classifier, the subprocess DIMACS backend's output parser, the
 budget layer, and fault injection — tags its verdict with a *reason*
 string.  Historically each layer minted its own spellings, so downstream
@@ -22,15 +22,13 @@ reason                    meaning
 ``memory``                a memory cap tripped at a cooperative checkpoint
 ``iterations``            a CEGIS/loop iteration cap was hit
 ``injected``              a :class:`repro.runtime.FaultInjector` forced it
-``worker-crashed``        an isolated worker died for no classified cause
-``worker-oom``            a worker breached its memory rlimit
-``worker-cpu``            a worker breached its CPU rlimit
-``heartbeat-lost``        the watchdog reaped a silent (hung) worker
-``interrupted``           SIGINT teardown killed the query mid-flight
+``worker-crashed``        a sandboxed child died for no classified cause
+``worker-oom``            a child breached its memory rlimit
+``worker-cpu``            a child breached its CPU rlimit
+``heartbeat-lost``        the watchdog reaped a silent (hung) child
+``interrupted``           SIGINT teardown stopped the run mid-flight
 ``backend-error``         an external solver produced garbage or crashed
 ``backend-missing``       no usable external solver binary was found
-``circuit-breaker``       the pool refused the query (internal; the facade
-                          converts this into an in-process fallback)
 ``malformed-model``       a SAT verdict carried an out-of-width assignment
 ``cancelled``             a portfolio race winner made this member's answer
                           moot (internal; never surfaces as a verdict)
@@ -69,7 +67,7 @@ __all__ = [
 #: Caps enforced by ``repro.runtime.Budget`` / the CDCL checkpoints.
 BUDGET_REASONS = frozenset({"deadline", "conflicts", "memory", "iterations"})
 
-#: Classified deaths of isolated solver workers.
+#: Classified deaths of sandboxed solver children.
 WORKER_REASONS = frozenset({
     "worker-crashed", "worker-oom", "worker-cpu",
     "heartbeat-lost", "interrupted",
@@ -77,7 +75,7 @@ WORKER_REASONS = frozenset({
 
 #: Failures of pluggable solver backends themselves.
 BACKEND_REASONS = frozenset({
-    "backend-error", "backend-missing", "circuit-breaker",
+    "backend-error", "backend-missing",
 })
 
 #: Portfolio-race outcomes (internal bookkeeping, never a final verdict).
@@ -96,7 +94,7 @@ CANONICAL_REASONS = (
 )
 
 #: Reasons where a retry (escalated caps, reseeded decisions, respawned
-#: worker) can plausibly produce a verdict.  Deadline/memory exhaustion
+#: child) can plausibly produce a verdict.  Deadline/memory exhaustion
 #: and interrupt teardown are deliberately absent: retrying cannot create
 #: more wall clock, more RAM, or un-press Ctrl-C.
 RETRYABLE_REASONS = frozenset({
@@ -135,8 +133,6 @@ _ALIASES = {
     "malformed-output": "backend-error",
     "solver-missing": "backend-missing",
     "no-solver": "backend-missing",
-    "breaker": "circuit-breaker",
-    "fallback": "circuit-breaker",
     "bad-model": "malformed-model",
     "canceled": "cancelled",
     "race-lost": "cancelled",

@@ -29,7 +29,7 @@ def decorrelated_jitter(rng, base, cap, previous):
 
     ``sleep = min(cap, uniform(base, previous * 3))`` — grows roughly
     exponentially like the classic doubling schedule but decorrelates
-    concurrent retriers (portfolio probes, pool respawns) so they do not
+    concurrent retriers (portfolio probes, retried checks) so they do not
     synchronize into thundering herds.  Deterministic given a seeded
     ``rng``, which is what the tests pin.
     """

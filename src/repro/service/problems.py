@@ -94,8 +94,9 @@ def idempotency_key(problem, mode="per_instruction", config=None):
     Hashes exactly the inputs that determine the answer: the canonical
     sketch text, the instruction names (order matters — it is the spec's
     order), the mode, and the solver configuration's result-visible
-    knobs.  Worker counts and pool objects are deliberately excluded:
-    they change *how fast* the answer arrives, not what it is.
+    knobs (backend name and pipeline).  A backend is keyed by its name,
+    not its instance: how a check is run changes *how fast* the answer
+    arrives, not what it is.
     """
     digest = hashlib.sha256()
     digest.update(print_design(problem.sketch).encode("utf-8"))

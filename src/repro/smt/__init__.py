@@ -9,7 +9,8 @@ package replaces that stack with a from-scratch pipeline:
 ``sat``        a CDCL SAT solver (watched literals, VSIDS, restarts)
 ``solver``     a solver facade: assert terms, check satisfiability, get models
 ``backends``   pluggable decision procedures behind the facade (the bundled
-               CDCL core, sandboxed worker pools, external DIMACS solvers)
+               CDCL core, a sandboxed child process hosting it, external
+               DIMACS solvers, a portfolio race)
 
 Everything is a bitvector; booleans are width-1 bitvectors.  This matches the
 Oyster IR (Section 3.1 of the paper), which also models every value as a

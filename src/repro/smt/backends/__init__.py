@@ -7,14 +7,35 @@ A :class:`SolverBackend` answers CNF queries; the facade
 delegates the decision to whichever backend is selected — per solver,
 per run (``SolverConfig``), or process-wide (``$REPRO_BACKEND``).
 
-Built-ins: ``inprocess`` (the bundled CDCL core, incremental),
-``isolated`` (sandboxed worker subprocesses), ``subprocess-dimacs``
-(any installed DIMACS solver, kissat/cryptominisat/minisat-style),
-``incremental-subprocess`` (a persistent sandboxed child hosting the
-CDCL core — incremental solving *with* crash containment), and
-``portfolio`` (hedged racing over member backends with health scoring
-and a disagreement sentinel).  ``register_backend`` adds more without
-touching any engine code.
+Exposed interfaces
+------------------
+
+* :class:`SolverConfig` — the one way to choose how checks run: a
+  ``backend`` (registered name, instance, or ``None`` for the process
+  default) and a ``pipeline`` (``"fresh"``/``"incremental"``).
+* The built-in backends, by registered name: ``inprocess`` (the bundled
+  CDCL core, incremental), ``subprocess-dimacs`` (any installed DIMACS
+  solver, kissat/cryptominisat/minisat-style), ``incremental-subprocess``
+  (the sandboxed backend: a persistent child hosting the CDCL core, with
+  rlimits, a heartbeat watchdog, clause-mirror replay and a circuit
+  breaker), and ``portfolio`` (hedged racing over member backends with
+  health scoring and a disagreement sentinel).
+* :class:`SolverBackend`, :class:`BackendResult` and
+  :class:`CheckLimits` — the seam a new decision procedure implements;
+  :func:`register_backend` adds it without touching engine code.
+* Introspection: :func:`available_backends`,
+  :func:`backend_capabilities`, :func:`default_backend_name`.
+
+Internal helpers
+----------------
+
+:func:`resolve_backend` / :func:`resolve_backend_name` (name to
+instance, used by the facade), :func:`resolve_solver_config` (folds the
+``backend=`` shorthand into a config at each entry point),
+:class:`OneShotCdclBackend` (the portfolio's trusted member),
+:class:`HealthLedger` / :class:`MemberHealth` (portfolio health), and
+:func:`~repro.smt.backends.incremental_subprocess.reap_children` (the
+engine's run-scoped child reaping).
 """
 
 from repro.smt.backends.base import BackendResult, CheckLimits, SolverBackend
@@ -25,7 +46,6 @@ from repro.smt.backends.incremental_subprocess import (
     IncrementalSubprocessBackend,
 )
 from repro.smt.backends.inprocess import InProcessBackend, OneShotCdclBackend
-from repro.smt.backends.isolated import IsolatedBackend
 from repro.smt.backends.portfolio import (
     PORTFOLIO_ENV,
     PortfolioBackend,
@@ -54,7 +74,6 @@ __all__ = [
     "resolve_solver_config",
     "InProcessBackend",
     "OneShotCdclBackend",
-    "IsolatedBackend",
     "SubprocessDimacsBackend",
     "IncrementalSubprocessBackend",
     "WORKER_ENV",

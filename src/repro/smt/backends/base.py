@@ -7,8 +7,9 @@ answer "is this CNF satisfiable?":
 
 * :class:`~repro.smt.backends.inprocess.InProcessBackend` — the bundled
   CDCL core, fed clauses incrementally by the facade;
-* :class:`~repro.smt.backends.isolated.IsolatedBackend` — the sandboxed
-  worker pool of ``repro.runtime.workers``, DIMACS over the wire;
+* :class:`~repro.smt.backends.incremental_subprocess
+  .IncrementalSubprocessBackend` — the same core in a sandboxed,
+  persistent child process, clauses streamed over a line protocol;
 * :class:`~repro.smt.backends.subprocess_dimacs.SubprocessDimacsBackend`
   — any installed DIMACS solver (kissat, cryptominisat, minisat, ...),
   shelled out per query.
@@ -85,7 +86,6 @@ class BackendResult:
     reason: str = ""        # canonical unknown reason (see runtime.reasons)
     model: dict = None      # term-level values (produces_models backends)
     conflicts: int = 0      # conflicts spent (facade charges the budget)
-    fallback: bool = False  # backend declined; facade must solve in-process
     assignment: dict = None  # raw DIMACS {var: 0/1} witness, when available
     #                          (lets the portfolio validate SAT claims
     #                          against the CNF before trusting them)
@@ -119,15 +119,16 @@ class SolverBackend:
         ``cnf`` is the DIMACS text of the query for stateless backends,
         or ``None`` for incremental backends (solve the accumulated
         clause state).  ``assumptions`` are internal SAT literals, only
-        passed when ``supports_assumptions``.  Worker faults
-        (``WorkerCrashed``/``WorkerKilled``) may propagate — the retry
-        machinery above the facade handles them.
+        passed when ``supports_assumptions``.  Faults are reported as
+        ``unknown`` verdicts with a canonical reason — the retry
+        machinery above the facade decides what to re-ask.
         """
         raise NotImplementedError
 
     def close(self):
-        """Release backend-owned resources (pools, temp dirs).  No-op by
-        default; the facade never calls this on shared backends."""
+        """Release backend-owned resources (child processes, temp dirs).
+        No-op by default; the facade never calls this on shared
+        backends."""
 
     # -- incremental sub-interface (supports_incremental only) ----------
 

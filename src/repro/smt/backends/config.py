@@ -1,29 +1,19 @@
 """``SolverConfig``: the one object that says how checks are solved.
 
-PRs 1–4 accreted three overlapping dispatch knobs — ``execution=``
-(where a check runs), ``worker_pool=`` (the sandbox it runs on), and
-``pipeline=`` (how formulas are encoded) — each threaded separately
-through ``Solver``, ``cegis_solve``, ``synthesize_instruction``,
-``synthesize_monolithic_solutions``, ``IncrementalContext``, and
-``synthesize``.  This dataclass collapses them: callers build one
-``SolverConfig`` (or just pass ``backend="..."``), the engine resolves it
-*once* at its boundary, and the resolved object rides down the stack.
-
-The legacy kwargs still work everywhere they used to, but emit a
-``DeprecationWarning`` pointing here.
+Callers build one ``SolverConfig`` (or pass just ``backend="..."``); the
+engine resolves it *once* at its boundary, and the resolved object rides
+down the stack through ``synthesize_instruction``,
+``synthesize_monolithic_solutions``, ``cegis_solve``,
+``IncrementalContext`` and ``verify_design``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace as _dc_replace
 
-from repro.smt.backends.registry import resolve_backend, resolve_backend_name
+from repro.smt.backends.registry import resolve_backend_name
 
 __all__ = ["SolverConfig", "resolve_solver_config"]
-
-#: Legacy ``execution=`` values and the backend names they map to.
-_EXECUTION_TO_BACKEND = {"inprocess": "inprocess", "isolated": "isolated"}
 
 
 @dataclass(frozen=True)
@@ -33,83 +23,36 @@ class SolverConfig:
     ``backend`` is a registered backend name, a live
     :class:`~repro.smt.backends.base.SolverBackend` instance, or ``None``
     (the process default — ``$REPRO_BACKEND`` or ``"inprocess"``).
-    ``worker_pool`` binds the ``"isolated"`` backend to a caller-owned
-    ``repro.runtime.SolverWorkerPool`` (the engine creates and shuts down
-    its own when omitted).  ``pipeline`` is ``"fresh"``/``"incremental"``
-    or ``None`` for the engine default; ``max_workers`` sizes an
-    engine-owned pool and the per-instruction dispatch width.
+    ``pipeline`` is ``"fresh"``/``"incremental"`` or ``None`` for the
+    engine default.
     """
 
     backend: object = None
-    worker_pool: object = None
     pipeline: str = None
-    max_workers: int = None
 
     @property
     def backend_name(self):
         """The name this config's backend resolves to."""
         return resolve_backend_name(self.backend)
 
-    def make_backend(self):
-        """Instantiate (or pass through) the configured backend."""
-        return resolve_backend(self.backend, worker_pool=self.worker_pool)
-
     def solver_kwargs(self):
         """Keyword arguments for ``Solver(...)`` under this config."""
-        return {"backend": self.backend, "worker_pool": self.worker_pool}
+        return {"backend": self.backend}
 
     def replace(self, **changes):
         """A copy with ``changes`` applied (configs are frozen)."""
         return _dc_replace(self, **changes)
 
 
-def resolve_solver_config(config=None, *, backend=None, execution=None,
-                          worker_pool=None, pipeline=None, max_workers=None,
-                          stacklevel=3):
-    """Fold new-style and legacy knobs into one :class:`SolverConfig`.
+def resolve_solver_config(config=None, *, backend=None):
+    """Fold the ``backend=`` shorthand into one :class:`SolverConfig`.
 
-    ``config`` and ``backend`` are the supported spellings; ``execution``,
-    ``worker_pool`` and ``pipeline`` are the PR 1–4 legacy kwargs, kept as
-    deprecated aliases (one ``DeprecationWarning`` naming the offenders).
-    Passing ``config`` *and* any other knob is a contradiction and raises
-    — a config is supposed to be resolved exactly once.
+    Passing ``config`` *and* ``backend`` is a contradiction and raises —
+    a config is supposed to be resolved exactly once.
     """
-    legacy = {
-        name: value
-        for name, value in (("execution", execution),
-                            ("worker_pool", worker_pool),
-                            ("pipeline", pipeline))
-        if value is not None
-    }
     if config is not None:
-        if backend is not None or max_workers is not None or legacy:
-            extras = sorted(set(legacy)
-                            | ({"backend"} if backend is not None else set())
-                            | ({"max_workers"} if max_workers is not None
-                               else set()))
+        if backend is not None:
             raise ValueError(
-                "pass either config= or individual solver knobs, not both "
-                f"(got config plus {', '.join(extras)})"
-            )
+                "pass either config= or backend=, not both")
         return config
-    if legacy:
-        names = ", ".join(sorted(legacy))
-        verb = "is" if len(legacy) == 1 else "are"
-        warnings.warn(
-            f"{names} {verb} deprecated; pass "
-            "config=SolverConfig(backend=..., worker_pool=..., "
-            "pipeline=...) (or just backend=...) instead",
-            DeprecationWarning, stacklevel=stacklevel,
-        )
-    if execution is not None:
-        mapped = _EXECUTION_TO_BACKEND.get(execution)
-        if mapped is None:
-            raise ValueError(f"unknown execution mode {execution!r}")
-        if backend is not None and resolve_backend_name(backend) != mapped:
-            raise ValueError(
-                f"conflicting backend selection: execution={execution!r} "
-                f"vs backend={backend!r}"
-            )
-        backend = backend if backend is not None else mapped
-    return SolverConfig(backend=backend, worker_pool=worker_pool,
-                        pipeline=pipeline, max_workers=max_workers)
+    return SolverConfig(backend=backend)

@@ -1,10 +1,9 @@
 """The in-process backend: the bundled CDCL core behind the seam.
 
 This is the migration target of the old ``Solver._check_inprocess`` path:
-the facade used to own a ``SatSolver`` directly and branch on
-``execution=``; now the same core lives behind the
-:class:`~repro.smt.backends.base.SolverBackend` protocol as the one
-incremental, assumption-capable backend.  The facade feeds it Tseitin
+the facade used to own a ``SatSolver`` directly; now the same core lives
+behind the :class:`~repro.smt.backends.base.SolverBackend` protocol as
+an incremental, assumption-capable backend.  The facade feeds it Tseitin
 clauses as assertions arrive (``new_var``/``add_clause``) and each
 ``check`` solves the accumulated state — learned clauses and variable
 activities survive across calls, which is what the incremental CEGIS

@@ -105,7 +105,7 @@ class _ParsedCnf:
             return self._parsed
 
 
-def _resolve_member(entry, worker_pool):
+def _resolve_member(entry):
     """Turn one roster entry into a stateless member backend."""
     from repro.smt.backends.inprocess import (
         InProcessBackend,
@@ -131,7 +131,7 @@ def _resolve_member(entry, worker_pool):
         raise ValueError("a portfolio cannot be a member of itself")
     from repro.smt.backends.registry import resolve_backend
 
-    backend = resolve_backend(text, worker_pool=worker_pool)
+    backend = resolve_backend(text)
     if backend.supports_incremental:
         return OneShotCdclBackend()
     return backend
@@ -166,7 +166,7 @@ class PortfolioBackend(SolverBackend):
                  ledger=None,
                  quarantine_after=3, loss_quarantine_after=5,
                  quarantine_base=0.25, quarantine_cap=30.0,
-                 seed=2024, join_timeout=10.0, worker_pool=None):
+                 seed=2024, join_timeout=10.0):
         if members is None:
             env = os.environ.get(PORTFOLIO_ENV, "")
             entries = [e.strip() for e in env.split(";") if e.strip()]
@@ -191,7 +191,7 @@ class PortfolioBackend(SolverBackend):
         self._members = []
         labels = {}
         for index, entry in enumerate(members):
-            backend = _resolve_member(entry, worker_pool)
+            backend = _resolve_member(entry)
             base = backend.name
             labels[base] = labels.get(base, 0) + 1
             label = base if labels[base] == 1 else f"{base}#{labels[base]}"
@@ -626,7 +626,7 @@ _SHARED_LOCK = threading.Lock()
 _SHARED = {}
 
 
-def shared_portfolio(worker_pool=None):
+def shared_portfolio():
     """The process-wide portfolio instance for the current env config.
 
     The registry factory is called once per ``Solver`` construction;
@@ -639,7 +639,6 @@ def shared_portfolio(worker_pool=None):
         os.environ.get(PORTFOLIO_ENV, ""),
         os.environ.get(HEDGE_DELAY_ENV, ""),
         os.environ.get(MIN_AGREEMENT_ENV, ""),
-        id(worker_pool) if worker_pool is not None else None,
     )
     with _SHARED_LOCK:
         backend = _SHARED.get(key)
@@ -649,6 +648,6 @@ def shared_portfolio(worker_pool=None):
                 kwargs["hedge_delay"] = float(key[1])
             if key[2]:
                 kwargs["min_agreement"] = int(key[2])
-            backend = PortfolioBackend(worker_pool=worker_pool, **kwargs)
+            backend = PortfolioBackend(**kwargs)
             _SHARED[key] = backend
         return backend

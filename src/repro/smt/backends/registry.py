@@ -14,8 +14,7 @@ Registering a custom backend is the extension point every future
         name = "my-solver"
         def check(self, cnf, assumptions=(), limits=None): ...
 
-    register_backend("my-solver", lambda worker_pool=None: MyBackend(),
-                     cls=MyBackend)
+    register_backend("my-solver", MyBackend, cls=MyBackend)
 
 after which ``backend="my-solver"`` works everywhere a backend name is
 accepted — ``Solver``, ``synthesize``, ``run_full_eval.py --backend``.
@@ -44,15 +43,15 @@ __all__ = [
 #: Environment variable naming the process-wide default backend.
 BACKEND_ENV = "REPRO_BACKEND"
 
-#: name -> (factory(worker_pool=None) -> SolverBackend, class-for-introspection)
+#: name -> (factory() -> SolverBackend, class-for-introspection)
 _REGISTRY = {}
 
 
 def register_backend(name, factory, cls=None, replace=False):
     """Register ``factory`` under ``name``.
 
-    ``factory`` is called as ``factory(worker_pool=...)`` and must return
-    a :class:`SolverBackend`.  ``cls`` (optional) lets
+    ``factory`` is called with no arguments and must return a
+    :class:`SolverBackend`.  ``cls`` (optional) lets
     :func:`backend_capabilities` report capability flags without
     instantiating — needed for backends whose construction probes the
     environment (e.g. subprocess-dimacs scanning PATH).
@@ -94,13 +93,13 @@ def resolve_backend_name(spec):
     return str(spec)
 
 
-def resolve_backend(spec, worker_pool=None):
+def resolve_backend(spec):
     """Resolve ``spec`` into a live backend instance.
 
     ``spec`` may be ``None`` (the process default), a registered name, or
     an already-constructed :class:`SolverBackend` (returned as-is, so
-    callers can share one instance — e.g. one ``IsolatedBackend`` around
-    one pool — across many solvers).
+    callers can share one stateless instance — e.g. one configured
+    external solver — across many solvers).
     """
     if isinstance(spec, SolverBackend):
         return spec
@@ -112,62 +111,28 @@ def resolve_backend(spec, worker_pool=None):
             f"{', '.join(available_backends())}"
         )
     factory, _cls = entry
-    return factory(worker_pool=worker_pool)
+    return factory()
 
 
 # -- built-in backends ----------------------------------------------------
-
-def _make_inprocess(worker_pool=None):
-    from repro.smt.backends.inprocess import InProcessBackend
-
-    return InProcessBackend()
-
-
-def _make_isolated(worker_pool=None):
-    from repro.smt.backends.isolated import IsolatedBackend
-
-    return IsolatedBackend(worker_pool)
-
-
-def _make_subprocess(worker_pool=None):
-    from repro.smt.backends.subprocess_dimacs import SubprocessDimacsBackend
-
-    return SubprocessDimacsBackend()
-
-
-def _make_incremental_subprocess(worker_pool=None):
-    from repro.smt.backends.incremental_subprocess import (
-        IncrementalSubprocessBackend,
-    )
-
-    return IncrementalSubprocessBackend()
-
-
-def _make_portfolio(worker_pool=None):
-    # A shared instance, not a fresh one per Solver: the health ledger
-    # (EWMA latencies, quarantine state) must survive across the many
-    # short-lived solvers one synthesis run creates.
-    from repro.smt.backends.portfolio import shared_portfolio
-
-    return shared_portfolio(worker_pool=worker_pool)
-
 
 def _register_builtins():
     from repro.smt.backends.incremental_subprocess import (
         IncrementalSubprocessBackend,
     )
     from repro.smt.backends.inprocess import InProcessBackend
-    from repro.smt.backends.isolated import IsolatedBackend
-    from repro.smt.backends.portfolio import PortfolioBackend
+    from repro.smt.backends.portfolio import PortfolioBackend, shared_portfolio
     from repro.smt.backends.subprocess_dimacs import SubprocessDimacsBackend
 
-    register_backend("inprocess", _make_inprocess, cls=InProcessBackend)
-    register_backend("isolated", _make_isolated, cls=IsolatedBackend)
-    register_backend("subprocess-dimacs", _make_subprocess,
+    register_backend("inprocess", InProcessBackend, cls=InProcessBackend)
+    register_backend("subprocess-dimacs", SubprocessDimacsBackend,
                      cls=SubprocessDimacsBackend)
-    register_backend("incremental-subprocess", _make_incremental_subprocess,
+    register_backend("incremental-subprocess", IncrementalSubprocessBackend,
                      cls=IncrementalSubprocessBackend)
-    register_backend("portfolio", _make_portfolio, cls=PortfolioBackend)
+    # A shared instance, not a fresh one per Solver: the health ledger
+    # (EWMA latencies, quarantine state) must survive across the many
+    # short-lived solvers one synthesis run creates.
+    register_backend("portfolio", shared_portfolio, cls=PortfolioBackend)
 
 
 _register_builtins()

@@ -7,9 +7,10 @@ machine-dependent; these counters are exact and deterministic, so the CI
 perf-smoke lane and ``BENCH_table1.json`` report them instead.
 
 The counters are advisory accounting, not synchronization: increments are
-not atomic across threads, so concurrent isolated-execution runs may lose
-an occasional tick.  The invariant tests and benches run serially, where
-the counts are exact.
+not atomic across threads, so two synthesis runs sharing a process (e.g.
+a multi-runner service) may lose an occasional tick.  The engine solves
+instructions serially, and the invariant tests and benches run one
+synthesis at a time, where the counts are exact.
 """
 
 from __future__ import annotations

@@ -62,8 +62,9 @@ def to_dimacs(assertions):
             continue
         clauses.append([lit(root)])
 
-    # Exported clauses are encode work too: isolated-mode checks re-blast
-    # and re-encode per call, and the counters must reflect that honestly.
+    # Exported clauses are encode work too: stateless-backend checks
+    # re-blast and re-encode per call, and the counters must reflect that
+    # honestly.
     COUNTERS.tseitin_clauses += len(clauses)
 
     lines = ["c generated by repro.smt.dimacs"]
@@ -161,8 +162,8 @@ def solve_dimacs(cnf, max_conflicts=None, deadline=None, budget=None,
     variable names to ints for SAT verdicts, and ``conflicts`` is the
     number of conflicts spent.  ``cancel`` (a ``threading.Event``) stops
     the replay cooperatively (``"unknown:cancelled"``).  This is both the
-    offline replay path and the worker-side half of the isolated-execution
-    wire format.
+    offline replay path and the one-shot CDCL behind the portfolio's
+    trusted member.
     """
     from repro.smt.sat.solver import SatSolver
 

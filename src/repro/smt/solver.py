@@ -12,10 +12,10 @@ The *decision procedure* is pluggable (see ``repro.smt.backends``): the
 facade owns encoding and model decoding and delegates each check to a
 :class:`~repro.smt.backends.base.SolverBackend`.  Incremental backends
 (the default ``"inprocess"`` CDCL core) are fed clauses as assertions
-arrive; stateless backends (``"isolated"`` workers, external
-``"subprocess-dimacs"`` solvers) receive a full DIMACS export per check,
-with assumption terms re-encoded as unit clauses so per-call scoping
-survives the loss of native assumption support.
+arrive; stateless backends (external ``"subprocess-dimacs"`` solvers,
+the ``"portfolio"`` race) receive a full DIMACS export per check, with
+assumption terms re-encoded as unit clauses so per-call scoping survives
+the loss of native assumption support.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.runtime.reasons import normalize_reason
 from repro.smt.aig import FALSE_LIT, TRUE_LIT
 from repro.smt.backends.base import CheckLimits
 from repro.smt.backends.inprocess import InProcessBackend
-from repro.smt.backends.registry import resolve_backend, resolve_backend_name
+from repro.smt.backends.registry import resolve_backend
 from repro.smt.bitblast import BitBlaster
 from repro.smt.counters import COUNTERS
 from repro.smt.dimacs import to_dimacs
@@ -47,10 +47,6 @@ __all__ = [
     "UnknownModelVariableWarning",
     "UnknownModelVariableError",
 ]
-
-#: Legacy ``execution=`` values and the backend names they map to.
-_EXECUTION_TO_BACKEND = {"inprocess": "inprocess", "isolated": "isolated"}
-
 
 class SolverResult:
     """Tri-state solver verdict (a tiny enum with a readable repr).
@@ -85,8 +81,9 @@ class Unknown(SolverResult):
 
     ``reason`` is machine-readable and canonical (see
     ``repro.runtime.reasons``): ``"deadline"``, ``"conflicts"``,
-    ``"memory"``, ``"injected"``, ``"backend-error"``,
-    ``"circuit-breaker"``, or ``"unspecified"``.
+    ``"memory"``, ``"injected"``, ``"backend-error"``, a classified
+    child death (``"worker-crashed"``, ``"worker-oom"``, ...), or
+    ``"unspecified"``.
     """
 
     __slots__ = ("reason",)
@@ -174,53 +171,30 @@ class Solver:
     of warning and defaulting to 0.
 
     ``backend`` selects the decision procedure: a registered backend name
-    (``"inprocess"``, ``"isolated"``, ``"subprocess-dimacs"``, or
-    anything added via ``repro.smt.backends.register_backend``), a live
+    (``"inprocess"``, ``"incremental-subprocess"``, ``"subprocess-dimacs"``,
+    ``"portfolio"``, or anything added via
+    ``repro.smt.backends.register_backend``), a live
     :class:`~repro.smt.backends.base.SolverBackend` instance, or ``None``
     for the process default (``$REPRO_BACKEND`` or ``"inprocess"``).
-    ``worker_pool`` binds the ``"isolated"`` backend to a
-    :class:`repro.runtime.workers.SolverWorkerPool`, so a crash, hang or
-    memory blow-up costs one disposable child process instead of the
-    engine.  Worker deaths surface as ``WorkerCrashed``/``WorkerKilled``
-    (retryable members of the runtime fault taxonomy), and a query that
-    keeps killing workers trips the pool's circuit breaker, after which
-    this facade quietly solves it in-process.
+    ``"incremental-subprocess"`` runs every check in a sandboxed child
+    process, so a crash, hang or memory blow-up costs that child instead
+    of the engine; faults surface as classified ``unknown`` verdicts
+    (see ``repro.smt.backends.incremental_subprocess``).
 
     Stateless backends never replace the in-process core: the facade
-    keeps encoding every cone into it, both so encode counters stay
-    execution-agnostic and so fallback (circuit breaker, backend refusal)
-    is always one ``solve`` away.
-
-    ``execution`` is the deprecated PR-2 spelling of the same choice
-    (``"inprocess"``/``"isolated"``); prefer ``backend=``.
+    keeps encoding every cone into it, so encode counters stay identical
+    across backends.
     """
 
-    def __init__(self, strict_models=False, execution=None,
-                 worker_pool=None, blaster=None, backend=None):
-        if execution is not None:
-            mapped = _EXECUTION_TO_BACKEND.get(execution)
-            if mapped is None:
-                raise ValueError(f"unknown execution mode {execution!r}")
-            warnings.warn(
-                "Solver(execution=...) is deprecated; pass backend="
-                f"{mapped!r} instead",
-                DeprecationWarning, stacklevel=2,
-            )
-            if backend is not None and resolve_backend_name(backend) != mapped:
-                raise ValueError(
-                    f"conflicting backend selection: execution={execution!r}"
-                    f" vs backend={backend!r}"
-                )
-            backend = backend if backend is not None else mapped
+    def __init__(self, strict_models=False, blaster=None, backend=None):
         # ``blaster`` may be shared with other solvers: cone-of-influence
         # encoding means this instance only Tseitin-encodes (and allocates
         # SAT variables for) the AIG regions its own assertions reach.
         self._blaster = blaster if blaster is not None else BitBlaster()
-        self._backend = resolve_backend(backend, worker_pool=worker_pool)
+        self._backend = resolve_backend(backend)
         # The encoding target.  An incremental backend *is* the core; a
         # stateless backend gets a private in-process core alongside it
-        # (encode counters stay identical across backends, and the core
-        # doubles as the circuit-breaker fallback solver).
+        # (encode counters stay identical across backends).
         if self._backend.supports_incremental:
             self._core = self._backend
         else:
@@ -235,7 +209,7 @@ class Solver:
         self._last_backend = self._core.name  # who served the last check
         self._last_internals = {}     # solver work deltas of the last check
         self.stats = {"asserts": 0, "checks": 0, "clauses": 0,
-                      "worker_checks": 0, "worker_fallbacks": 0}
+                      "worker_checks": 0}
         COUNTERS.solver_instances += 1
 
     @property
@@ -245,14 +219,6 @@ class Solver:
 
     @property
     def backend_name(self):
-        return self._backend.name
-
-    @property
-    def execution(self):
-        """Deprecated PR-2 spelling of the dispatch mode: the backend
-        name for stateless backends, else ``"inprocess"``."""
-        if self._backend.supports_incremental:
-            return "inprocess"
         return self._backend.name
 
     def add(self, term):
@@ -299,8 +265,8 @@ class Solver:
         An UNKNOWN verdict is an :class:`Unknown` instance whose
         ``reason`` names the exhausted cap (``"deadline"``,
         ``"conflicts"``, ``"memory"``), a backend failure
-        (``"backend-error"``, ``"circuit-breaker"``), or ``"injected"``
-        under fault injection.
+        (``"backend-error"``, a classified child death such as
+        ``"worker-crashed"``), or ``"injected"`` under fault injection.
 
         When a :class:`repro.obs.Tracer` is installed, every check —
         including assumption-based incremental checks and out-of-process
@@ -352,7 +318,6 @@ class Solver:
                 assumptions=len(assumptions)
                 if hasattr(assumptions, "__len__") else -1,
                 backend=self._last_backend,
-                execution=self._last_backend,
                 # Solver internals, mirroring what _check charged to
                 # repro.smt.counters for this check — the obs report
                 # reconciles the two exactly.
@@ -423,18 +388,9 @@ class Solver:
             self.stats["worker_checks"] += 1
             self._last_backend = backend.name
             result = backend.check(dimacs, (), limits)
-            if result.fallback:
-                # The backend declined (circuit breaker): the un-dispatched
-                # check doesn't count, and the in-process core — which holds
-                # the same clauses — answers instead.
-                self.stats["worker_checks"] -= 1
-                self.stats["worker_fallbacks"] += 1
-                self._last_backend = self._core.name
-                result = self._core.check(None, sat_assumptions, limits)
-            else:
-                self._remote_conflicts += result.conflicts
-                if result.verdict == "sat" and result.model is not None:
-                    self._remote_model = dict(result.model)
+            self._remote_conflicts += result.conflicts
+            if result.verdict == "sat" and result.model is not None:
+                self._remote_model = dict(result.model)
         if budget is not None:
             budget.charge_conflicts(result.conflicts)
         if result.internals:
@@ -479,7 +435,7 @@ class Solver:
         """Total SAT conflicts this solver has spent (monotonic).
 
         Includes conflicts spent on our behalf by out-of-process backends
-        (isolated workers, external solvers), so CEGIS statistics and
+        (external solvers, portfolio members), so CEGIS statistics and
         budget accounting are backend-agnostic.
         """
         return self._core.conflicts + self._remote_conflicts

@@ -11,9 +11,9 @@ here it is explicit:
    constraint on the hole variables; ask for a new candidate.
 
 The guess solver is incremental — every counterexample stays, so candidates
-monotonically improve.  The verify side has two modes: the default
-substitutes the candidate and solves a fresh, folded query; the
-``incremental`` mode (see ``repro.synthesis.incremental``) stages each
+monotonically improve.  The verify side has two modes: the fresh
+pipeline substitutes the candidate and solves a fresh, folded query; the
+incremental pipeline (see ``repro.synthesis.incremental``) stages each
 candidate's folded negation, selector-guarded, into one persistent
 per-formula verifier — interned AIG regions, SAT variables and learned
 clauses all survive across iterations and instructions, and polish runs
@@ -60,9 +60,8 @@ class CegisStats:
 
     The encode counters (``solver_instances``, ``aig_nodes``,
     ``tseitin_clauses``) are deltas of the process-global
-    ``repro.smt.counters`` taken across the run — under concurrent
-    isolated dispatch they attribute jointly, but serial runs (the bench
-    and CI configurations) are exact.
+    ``repro.smt.counters`` taken across the run; the engine dispatches
+    instructions serially, so they are exact per run.
     """
 
     def __init__(self):
@@ -98,8 +97,7 @@ class CegisStats:
 
 def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
                 stats=None, initial_candidate=None, partial_eval=True,
-                budget=None, retry_policy=None, execution=None,
-                worker_pool=None, incremental=False, incremental_ctx=None,
+                budget=None, retry_policy=None, incremental_ctx=None,
                 canonicalize=True, config=None, backend=None):
     """Find ints for ``hole_vars`` making ``formula`` valid for all states.
 
@@ -113,9 +111,10 @@ def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
     study — it produces the full-datapath queries a rewrite-free evaluator
     would send to the solver.
 
-    ``incremental=True`` selects the persistent-verifier mode: each
-    candidate's folded ``¬formula`` is staged, selector-guarded, into the
-    formula's long-lived verifier inside ``incremental_ctx`` (an
+    ``config.pipeline == "incremental"`` selects the persistent-verifier
+    mode: each candidate's folded ``¬formula`` is staged,
+    selector-guarded, into the formula's long-lived verifier inside
+    ``incremental_ctx`` (an
     :class:`repro.synthesis.incremental.IncrementalContext`; a private one
     is created when omitted) and decided under a one-literal selector
     assumption — no per-iteration solver construction, shared interned
@@ -123,8 +122,8 @@ def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
     learned clauses that survive across iterations *and* across
     instructions sharing the context.  Polish opens per-hole scan
     verifiers (``assert_scan``) whose trial values ride as assumption
-    bits on a reused trail.  The substitution path
-    (``incremental=False``) is retained as the ablation baseline.
+    bits on a reused trail.  Any other pipeline (``"fresh"``, or ``None``
+    for a bare call) takes the substitution path, the ablation baseline.
 
     ``canonicalize=True`` (the default) polishes the converged candidate:
     hole bits are greedily zeroed, most-significant first in hole order,
@@ -142,22 +141,20 @@ def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
 
     ``config`` (a :class:`repro.smt.backends.SolverConfig`) or ``backend``
     (a registered backend name / instance) selects the decision procedure
-    for every solver this run constructs.  ``backend="isolated"`` with a
-    ``worker_pool`` runs every check in a sandboxed child process of a
-    ``repro.runtime.SolverWorkerPool``: worker deaths surface as retryable
-    ``WorkerCrashed``/``WorkerKilled`` faults and flow through the same
+    for every solver this run constructs, and ``config.pipeline`` the
+    verify mode.  Under ``backend="incremental-subprocess"`` every check
+    runs in a sandboxed child process: child deaths surface as retryable
+    ``unknown(worker-crashed)``-style verdicts and flow through the same
     retry machinery as conflict-cap UNKNOWNs, landing each retry on a
-    freshly spawned worker.  ``execution``/``worker_pool`` are the
-    deprecated PR-2 spellings of the same selection.
+    respawned child.
 
     Raises ``SynthesisFailure`` if no assignment exists,
     ``SynthesisTimeout`` if the wall-clock/memory budget is exhausted, and
     ``SolverUnknown`` if the solver gave up for a non-budget reason even
     after retries.
     """
-    config = resolve_solver_config(config, backend=backend,
-                                   execution=execution,
-                                   worker_pool=worker_pool)
+    config = resolve_solver_config(config, backend=backend)
+    incremental = config.pipeline == "incremental"
     if stats is None:
         stats = CegisStats()
     if incremental and not partial_eval:
@@ -209,7 +206,7 @@ def _cegis_loop(formula, hole_vars, max_iterations, stats, initial_candidate,
         """One verify check for ``cand``; returns (verdict, verifier)."""
         started = time.monotonic()
         with _obs.span("cegis.verify", mode=verify_mode):
-            if incremental and partial_eval:
+            if incremental:
                 # Fold the candidate's constants into the formula — the
                 # same datapath collapse the fresh pipeline gets — but
                 # decide the query on the formula's *persistent* folded
@@ -230,16 +227,6 @@ def _cegis_loop(formula, hole_vars, max_iterations, stats, initial_candidate,
                 conflicts_before = verifier.conflicts
                 verdict = _checked(verifier, budget, retry_policy, stats,
                                    side="verification", assumptions=[sel])
-            elif incremental:
-                # Rewrite-free ablation shape, incremental spelling: one
-                # persistent verifier holds the unreduced ¬formula and
-                # each candidate rides in as per-bit hole assumptions.
-                verifier = incremental_ctx.verifier_for(formula)
-                conflicts_before = verifier.conflicts
-                assumptions = candidate_assumptions(hole_by_name, cand)
-                verdict = _checked(verifier, budget, retry_policy, stats,
-                                   side="verification",
-                                   assumptions=assumptions)
             elif partial_eval:
                 verifier = Solver(**config.solver_kwargs())
                 conflicts_before = 0
@@ -265,7 +252,7 @@ def _cegis_loop(formula, hole_vars, max_iterations, stats, initial_candidate,
         return verdict, verifier
 
     scan_probe = None
-    if incremental and partial_eval:
+    if incremental:
         def scan_probe(var, fixed):
             """Open a per-hole polish scan; returns ``probe(value)``.
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 
 from repro.obs import metrics as _metrics
@@ -19,19 +18,14 @@ from repro.obs import trace as _obs
 from repro.oyster import ast as oy
 from repro.oyster.analysis import expr_vars, stmt_uses
 from repro.oyster.typecheck import check_design
-from repro.runtime import (
-    Budget,
-    BudgetExhausted,
-    RetryPolicy,
-    SolverUnknown,
-    SolverWorkerPool,
-)
+from repro.runtime import Budget, BudgetExhausted, RetryPolicy, SolverUnknown
 from repro.smt import counters as _counters
 from repro.smt.backends import (
     SolverBackend,
     available_backends,
     resolve_solver_config,
 )
+from repro.smt.backends.incremental_subprocess import reap_children
 from repro.synthesis.incremental import IncrementalContext, resolve_pipeline
 from repro.synthesis.independence import check_instruction_independence
 from repro.synthesis.monolithic import synthesize_monolithic_solutions
@@ -51,8 +45,7 @@ def synthesize(problem, mode="per_instruction", timeout=None,
                max_iterations=256, check_independence=True,
                progress=None, partial_eval=True, budget=None,
                retry_policy=None, on_timeout="raise", resume_from=None,
-               execution=None, worker_pool=None, max_workers=None,
-               pipeline=None, config=None, backend=None, checkpoint=None):
+               config=None, backend=None, checkpoint=None):
     """Run control logic synthesis.
 
     Parameters
@@ -62,30 +55,27 @@ def synthesize(problem, mode="per_instruction", timeout=None,
         ``"monolithic"`` (Equation (1), the Table 1 † configuration).
     config:
         A :class:`repro.smt.backends.SolverConfig` bundling the solver
-        knobs (``backend``, ``worker_pool``, ``pipeline``,
-        ``max_workers``), resolved exactly once at this boundary and
-        threaded down the whole stack.  Mutually exclusive with passing
-        the individual knobs below.
-    backend:
-        The decision procedure for every solver check: a registered
-        backend name (``"inprocess"``, ``"isolated"``,
+        knobs, resolved exactly once at this boundary and threaded down
+        the whole stack.  ``config.backend`` is the decision procedure
+        for every solver check: a registered backend name
+        (``"inprocess"``, ``"incremental-subprocess"``,
         ``"subprocess-dimacs"``, ``"portfolio"``, or anything added via
         ``repro.smt.backends.register_backend``), a live
         ``SolverBackend`` instance, or ``None`` for the process default
-        (``$REPRO_BACKEND`` or ``"inprocess"``).  ``"isolated"`` routes
-        checks through sandboxed worker subprocesses and dispatches
-        independent per-instruction problems concurrently across the
-        pool; worker deaths are classified, charged to the budget, and
-        retried on fresh workers.
-    pipeline:
-        ``"incremental"`` (default when ``partial_eval`` is on) evaluates
-        the sketch once per problem (shared trace cache), asserts each
-        instruction's negated formula once into a shared selector-guarded
-        verifier, and checks candidates under per-bit assumptions.
-        ``"fresh"`` re-evaluates and re-encodes per instruction and per
-        iteration — the ablation baseline (and the only pipeline the
-        ``partial_eval=False`` rewriter ablation supports).
-        Deprecated as a direct kwarg; prefer ``config=``.
+        (``$REPRO_BACKEND`` or ``"inprocess"``).
+        ``"incremental-subprocess"`` runs every check in a sandboxed
+        child process; child deaths are classified and retried on a
+        respawned child (the run defaults to a standard ``RetryPolicy``).
+        ``config.pipeline`` is ``"incremental"`` (default when
+        ``partial_eval`` is on: the sketch is evaluated once per problem
+        and each instruction's candidates are checked on a persistent
+        folded verifier) or ``"fresh"`` (re-evaluate and re-encode per
+        instruction and per iteration — the ablation baseline, and the
+        only pipeline the ``partial_eval=False`` rewriter ablation
+        supports).
+    backend:
+        Shorthand for ``config=SolverConfig(backend=...)``; mutually
+        exclusive with ``config``.
     timeout:
         Overall wall-clock budget in seconds; ``SynthesisTimeout`` is raised
         when exceeded (this is how the paper's Timeout row reproduces).
@@ -113,19 +103,6 @@ def synthesize(problem, mode="per_instruction", timeout=None,
         A :class:`PartialSynthesisResult` (or its ``to_dict()`` form) from
         an earlier run of the same problem/mode: completed instructions
         are reused verbatim and only the pending ones are solved.
-    execution:
-        Deprecated PR-2 spelling of ``backend`` (``"inprocess"`` /
-        ``"isolated"``); emits a ``DeprecationWarning``.
-    worker_pool:
-        A caller-owned ``repro.runtime.SolverWorkerPool`` for the
-        ``"isolated"`` backend.  When omitted, the engine creates one
-        sized by ``max_workers`` and shuts it down (asserting no orphans)
-        before returning.  Deprecated as a direct kwarg; prefer
-        ``config=SolverConfig(worker_pool=...)``.
-    max_workers:
-        Size of the engine-owned pool (ignored when ``worker_pool`` is
-        given); also the per-instruction dispatch width.
-
     checkpoint:
         Optional callable invoked with a fresh
         :class:`PartialSynthesisResult` (reason ``"checkpoint"``) after
@@ -139,22 +116,18 @@ def synthesize(problem, mode="per_instruction", timeout=None,
         mode has no per-instruction boundary and never checkpoints.
 
     A ``KeyboardInterrupt`` mid-run follows the same degradation contract
-    as budget exhaustion: live workers are terminated, and the partial
-    result (reason ``"interrupted"``, resumable) is returned or attached.
-    ``SIGTERM`` delivered to the main thread is wired to the same
-    contract as ``SIGINT``: the engine degrades to the same resumable
-    partial result and reaps live workers/subprocess solvers.
+    as budget exhaustion: the partial result (reason ``"interrupted"``,
+    resumable) is returned or attached.  ``SIGTERM`` delivered to the
+    main thread is wired to the same contract as ``SIGINT``.  However the
+    run ends — completed, partial or interrupted — every sandboxed solver
+    child it spawned is reaped before ``synthesize`` returns.
     """
     started = time.monotonic()
     if on_timeout not in ("raise", "partial"):
         # Validate eagerly: a typo'd mode must not lurk until the first
         # run that actually times out.
         raise ValueError(f"unknown on_timeout mode {on_timeout!r}")
-    config = resolve_solver_config(config, backend=backend,
-                                   execution=execution,
-                                   worker_pool=worker_pool,
-                                   pipeline=pipeline,
-                                   max_workers=max_workers)
+    config = resolve_solver_config(config, backend=backend)
     backend_name = config.backend_name
     if (not isinstance(config.backend, SolverBackend)
             and backend_name not in available_backends()):
@@ -172,34 +145,19 @@ def synthesize(problem, mode="per_instruction", timeout=None,
         budget = Budget(timeout=timeout)
     elif timeout is not None:
         budget = budget.child(timeout=timeout)
-    owned_pool = None
-    if backend_name == "isolated":
-        if config.worker_pool is None:
-            owned_pool = SolverWorkerPool(size=config.max_workers or 2)
-            config = config.replace(worker_pool=owned_pool)
-        if retry_policy is None:
-            # Isolation without retries would turn every transient worker
-            # death into a lost instruction; default to the standard
-            # escalation policy so crashes land on fresh workers.
-            retry_policy = RetryPolicy()
-    try:
-        with _sigterm_degrades(), \
-                _obs.span("synthesis.run", problem=problem.name, mode=mode,
-                          backend=backend_name, execution=backend_name,
-                          pipeline=pipeline):
-            return _synthesize(
-                problem, mode, started, max_iterations, check_independence,
-                progress, partial_eval, budget, retry_policy, on_timeout,
-                resume_from, config, pipeline, checkpoint,
-            )
-    finally:
-        if owned_pool is not None:
-            accounting = owned_pool.shutdown()
-            if accounting["orphans"]:  # pragma: no cover - defensive
-                raise RuntimeError(
-                    f"{accounting['orphans']} solver worker(s) survived "
-                    "pool shutdown"
-                )
+    if backend_name == "incremental-subprocess" and retry_policy is None:
+        # Sandboxing without retries would turn every transient child
+        # death into a lost instruction; default to the standard
+        # escalation policy so a crashed check is re-asked on a respawn.
+        retry_policy = RetryPolicy()
+    with reap_children(), _sigterm_degrades(), \
+            _obs.span("synthesis.run", problem=problem.name, mode=mode,
+                      backend=backend_name, pipeline=pipeline):
+        return _synthesize(
+            problem, mode, started, max_iterations, check_independence,
+            progress, partial_eval, budget, retry_policy, on_timeout,
+            resume_from, config, pipeline, checkpoint,
+        )
 
 
 @contextmanager
@@ -207,11 +165,11 @@ def _sigterm_degrades():
     """Wire SIGTERM to the SIGINT degradation contract for this run.
 
     A service manager's polite stop must not differ from Ctrl-C: both
-    degrade to the same resumable ``PartialSynthesisResult`` and reap
-    live workers.  Signals are only deliverable to the main thread, and
-    handlers are only installable *from* it, so dispatch-thread runs
-    (e.g. service job runners) leave the process handler untouched — the
-    daemon owns SIGTERM there and drains via the checkpoint hook instead.
+    degrade to the same resumable ``PartialSynthesisResult``.  Signals
+    are only deliverable to the main thread, and handlers are only
+    installable *from* it, so runs on other threads (e.g. service job
+    runners) leave the process handler untouched — the daemon owns
+    SIGTERM there and drains via the checkpoint hook instead.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -235,11 +193,8 @@ def _sigterm_degrades():
 def _synthesize(problem, mode, started, max_iterations, check_independence,
                 progress, partial_eval, budget, retry_policy, on_timeout,
                 resume_from, config, pipeline, checkpoint=None):
-    backend_name = config.backend_name
-    worker_pool = config.worker_pool
-    isolated = backend_name == "isolated"
-    stats = {"mode": mode, "backend": backend_name,
-             "execution": backend_name, "pipeline": pipeline}
+    stats = {"mode": mode, "backend": config.backend_name,
+             "pipeline": pipeline}
     encode_before = _counters.snapshot()
     # The trace's opening metrics snapshot is taken at the same point as
     # ``encode_before`` (and the closing one where ``stats["counters"]``
@@ -252,14 +207,10 @@ def _synthesize(problem, mode, started, max_iterations, check_independence,
     incremental_ctx = None
     if pipeline == "incremental":
         # Build the shared trace (and every instruction's formula) up
-        # front: the cost is paid once, and the isolated engine can then
-        # dispatch against a read-only entry.
+        # front, and share one encode-once context across the
+        # instruction loop.
         problem.trace_cache().entry(problem)
-        if not isolated:
-            # Serial execution shares one encode-once context across the
-            # instruction loop; isolated dispatch threads each build
-            # their own (a context is serial by contract).
-            incremental_ctx = IncrementalContext(config=config)
+        incremental_ctx = IncrementalContext(config=config)
 
     if mode == "per_instruction":
         if check_independence:
@@ -278,62 +229,44 @@ def _synthesize(problem, mode, started, max_iterations, check_independence,
             return checkpoint(snap) is not False
 
         try:
-            if isolated:
-                stop_fault = _solve_concurrently(
-                    problem, solved, faults, budget, retry_policy,
-                    max_iterations, partial_eval, config, progress,
-                    _checkpoint_ok,
-                )
-                if stop_fault is not None:
-                    partial = _partial(problem, mode, solved,
-                                       stop_fault.reason, started, stats,
-                                       faults)
-                    return _degrade(partial, stop_fault, on_timeout)
-            else:
-                for index, instruction in enumerate(
-                        problem.spec.instructions):
-                    if instruction.name in solved:
-                        continue
-                    try:
-                        budget.check()
-                        solution = synthesize_instruction(
-                            problem, instruction, index,
-                            budget=budget.child(),
-                            retry_policy=retry_policy,
-                            max_iterations=max_iterations,
-                            partial_eval=partial_eval,
-                            config=config,
-                            incremental_ctx=incremental_ctx,
-                        )
-                    except BudgetExhausted as fault:
-                        # Budget spent (deadline/memory/iterations): stop
-                        # now and hand back everything already solved.
-                        partial = _partial(problem, mode, solved,
-                                           fault.reason, started, stats,
-                                           faults)
-                        return _degrade(partial, fault, on_timeout)
-                    except SolverUnknown as fault:
-                        # A non-budget fault on this one instruction:
-                        # record it and keep going — later instructions may
-                        # still solve, which maximizes the work a resume
-                        # can reuse.
-                        faults.append((instruction.name, fault.reason))
-                        continue
-                    solved[instruction.name] = solution
-                    if progress is not None:
-                        progress(instruction.name, solution)
-                    if not _checkpoint_ok(solved):
-                        partial = _partial(problem, mode, solved, "drained",
-                                           started, stats, faults)
-                        return _degrade(
-                            partial,
-                            BudgetExhausted(
-                                "synthesis drained at a checkpoint",
-                                reason="drained"),
-                            on_timeout)
+            for index, instruction in enumerate(problem.spec.instructions):
+                if instruction.name in solved:
+                    continue
+                try:
+                    budget.check()
+                    solution = synthesize_instruction(
+                        problem, instruction, index,
+                        budget=budget.child(),
+                        retry_policy=retry_policy,
+                        max_iterations=max_iterations,
+                        partial_eval=partial_eval,
+                        config=config,
+                        incremental_ctx=incremental_ctx,
+                    )
+                except BudgetExhausted as fault:
+                    # Budget spent (deadline/memory/iterations): stop now
+                    # and hand back everything already solved.
+                    partial = _partial(problem, mode, solved, fault.reason,
+                                       started, stats, faults)
+                    return _degrade(partial, fault, on_timeout)
+                except SolverUnknown as fault:
+                    # A non-budget fault on this one instruction: record
+                    # it and keep going — later instructions may still
+                    # solve, which maximizes the work a resume can reuse.
+                    faults.append((instruction.name, fault.reason))
+                    continue
+                solved[instruction.name] = solution
+                if progress is not None:
+                    progress(instruction.name, solution)
+                if not _checkpoint_ok(solved):
+                    partial = _partial(problem, mode, solved, "drained",
+                                       started, stats, faults)
+                    return _degrade(
+                        partial,
+                        BudgetExhausted("synthesis drained at a checkpoint",
+                                        reason="drained"),
+                        on_timeout)
         except KeyboardInterrupt as fault:
-            if worker_pool is not None:
-                worker_pool.terminate_inflight()
             partial = _partial(problem, mode, solved, "interrupted",
                                started, stats, faults)
             return _degrade(partial, fault, on_timeout)
@@ -354,8 +287,6 @@ def _synthesize(problem, mode, started, max_iterations, check_independence,
                 max_iterations=max_iterations, config=config,
             )
         except KeyboardInterrupt as fault:
-            if worker_pool is not None:
-                worker_pool.terminate_inflight()
             partial = _partial(problem, mode, {}, "interrupted", started,
                                stats, [])
             return _degrade(partial, fault, on_timeout)
@@ -383,101 +314,6 @@ def _synthesize(problem, mode, started, max_iterations, check_independence,
         elapsed=time.monotonic() - started,
         stats=stats,
     )
-
-
-def _solve_concurrently(problem, solved, faults, budget, retry_policy,
-                        max_iterations, partial_eval, config, progress,
-                        checkpoint_ok=None):
-    """Dispatch pending per-instruction problems across the worker pool.
-
-    Instruction independence (Section 3.3.1) is what makes this sound:
-    each problem is a self-contained ∃∀ query, so they may solve in any
-    order on any worker.  Mutates ``solved``/``faults`` (spec order is
-    restored for ``faults`` so partial results stay deterministic) and
-    returns the first ``BudgetExhausted`` if the shared budget tripped,
-    else ``None``.
-
-    A ``KeyboardInterrupt`` while waiting cancels undispatched work,
-    hard-kills in-flight workers (their submitter threads observe EOF and
-    unwind promptly), and propagates to the caller's degradation path.
-    """
-    worker_pool = config.worker_pool
-    pending = [
-        (index, instruction)
-        for index, instruction in enumerate(problem.spec.instructions)
-        if instruction.name not in solved
-    ]
-    spec_order = {i.name: n for n, i in enumerate(problem.spec.instructions)}
-    stop_fault = None
-    executor = ThreadPoolExecutor(
-        max_workers=worker_pool.size, thread_name_prefix="synth-dispatch"
-    )
-    # Dispatch threads start with empty span stacks; pinning the parent
-    # explicitly keeps their spans attached to the run instead of orphaned.
-    # The trace context is thread-local too, so it is captured here and
-    # re-entered inside each dispatch thread the same way.
-    parent_span = _obs.current_span_id()
-    trace_ctx = _obs.current_trace_id()
-    try:
-        futures = {}
-        for index, instruction in pending:
-            future = executor.submit(
-                _solve_one, problem, instruction, index, budget,
-                retry_policy, max_iterations, partial_eval, config,
-                parent_span, trace_ctx,
-            )
-            futures[future] = instruction
-        for future in as_completed(futures):
-            instruction = futures[future]
-            try:
-                solution = future.result()
-            except BudgetExhausted as fault:
-                # Keep draining: the siblings share the budget, so they
-                # trip the same cap almost immediately, and any that
-                # slipped in under the wire are still worth keeping.
-                if stop_fault is None:
-                    stop_fault = fault
-                continue
-            except SolverUnknown as fault:
-                faults.append((instruction.name, fault.reason))
-                continue
-            solved[instruction.name] = solution
-            if progress is not None:
-                progress(instruction.name, solution)
-            if checkpoint_ok is not None and not checkpoint_ok(solved):
-                # Drain requested: the in-flight siblings are killed (they
-                # stay pending and resumable), the finished ones are kept.
-                stop_fault = BudgetExhausted(
-                    "synthesis drained at a checkpoint", reason="drained")
-                worker_pool.terminate_inflight()
-                break
-    except KeyboardInterrupt:
-        worker_pool.terminate_inflight()
-        raise
-    finally:
-        # After an interrupt the killed workers EOF their submitter
-        # threads, so this wait is bounded, and it guarantees no dispatch
-        # thread races the pool teardown.
-        executor.shutdown(wait=True, cancel_futures=True)
-    faults.sort(key=lambda item: spec_order[item[0]])
-    return stop_fault
-
-
-def _solve_one(problem, instruction, index, budget, retry_policy,
-               max_iterations, partial_eval, config, span_parent=None,
-               trace_ctx=None):
-    # incremental_ctx stays None here: each dispatch thread gets its own
-    # context inside cegis_solve (an IncrementalContext is serial), while
-    # the precompiled TraceEntry is still shared read-only.
-    with _obs.trace_context(trace_ctx), \
-            _obs.span("synthesis.dispatch", span_parent=span_parent,
-                      instr=instruction.name):
-        budget.check()
-        return synthesize_instruction(
-            problem, instruction, index, budget=budget.child(),
-            retry_policy=retry_policy, max_iterations=max_iterations,
-            partial_eval=partial_eval, config=config,
-        )
 
 
 def _resume_solutions(problem, mode, resume_from):

@@ -62,10 +62,11 @@ restores it after, capturing exactly that instruction's side-condition
 delta — each formula carries the evaluation-time conditions plus its own
 fresh-read pairs, mirroring the fresh pipeline's formula shape.
 
-Trace sharing is per-process: out-of-process backends (``"isolated"``
-workers, ``"subprocess-dimacs"`` solvers) keep working because the
-symbolic evaluation, compilation and formula construction all happen in
-the engine process — remote solvers still receive plain DIMACS.
+Trace sharing is per-process: out-of-process backends (the sandboxed
+``"incremental-subprocess"`` child, ``"subprocess-dimacs"`` solvers) keep
+working because the symbolic evaluation, compilation and formula
+construction all happen in the engine process — remote solvers still
+receive plain clauses.
 """
 
 from __future__ import annotations
@@ -121,8 +122,8 @@ class TraceEntry:
 
     All instructions are compiled eagerly, in spec order, at construction
     time: compilation mutates the trace's memory read state, so doing it
-    up front keeps formulas deterministic and lets the isolated engine
-    dispatch instructions across threads against a read-only entry.
+    up front keeps formulas deterministic and leaves the entry read-only
+    for every later consumer (per-instruction, monolithic, minimize).
     """
 
     def __init__(self, problem, prefix=SHARED_PREFIX):
@@ -241,52 +242,30 @@ class TraceCache:
 class IncrementalContext:
     """Shared encode-once solver state for a run of CEGIS instances.
 
-    Holds one assumption-based verifier per instruction formula
-    (``verifier_for``), all encoding against one shared verifier-side
-    ``BitBlaster``, plus the shared guess-side blaster.  A context must
-    be used serially: share one across a sequential per-instruction
-    loop, or give each dispatch thread its own.
+    Holds one folded verifier per instruction formula, all encoding
+    against one shared verifier-side ``BitBlaster``, plus the shared
+    guess-side blaster.  A context must be used serially: share one
+    across a sequential per-instruction loop.
 
     ``config`` is a :class:`repro.smt.backends.SolverConfig` selecting
     the decision procedure; candidate checks on a backend without native
     assumption support degrade to per-check DIMACS re-export (the facade
     handles it), so the context stays correct — just without the
-    learned-clause reuse that motivates it.  ``execution``/``worker_pool``
-    are the deprecated spellings.
+    learned-clause reuse that motivates it.
     """
 
-    def __init__(self, execution=None, worker_pool=None, config=None):
-        config = resolve_solver_config(config, execution=execution,
-                                       worker_pool=worker_pool)
-        self.config = config
+    def __init__(self, config=None):
+        self.config = resolve_solver_config(config)
         #: One AIG for every per-formula verifier: subterms interned
         #: across instructions blast once, while cone-of-influence
         #: encoding keeps each verifier's CNF scoped to its own formula.
         self.verifier_blaster = BitBlaster()
         self.guess_blaster = BitBlaster()
-        self._verifiers = {}
         self._folded = {}
         #: formula -> (instance key, live selector) for the one guarded
         #: instance currently staged on that formula's folded verifier.
         self._active = {}
         self._counter = 0
-
-    def verifier_for(self, formula):
-        """The verifier holding ``¬formula``, asserting it on first use.
-
-        Subsequent candidate checks against the returned solver are pure
-        assumption solves: same clause DB, same learned clauses, and a
-        mostly-unchanged assumption prefix for the core's trail reuse.
-        """
-        solver = self._verifiers.get(formula)
-        if solver is None:
-            solver = Solver(blaster=self.verifier_blaster,
-                            **self.config.solver_kwargs())
-            solver.add(T.bv_not(formula))
-            self._verifiers[formula] = solver
-        return solver
-
-    # -- the folded verify tier ------------------------------------------
 
     def _folded_solver(self, formula):
         solver = self._folded.get(formula)

@@ -27,20 +27,17 @@ __all__ = ["synthesize_monolithic_solutions"]
 
 def synthesize_monolithic_solutions(problem, timeout=None,
                                     max_iterations=256, budget=None,
-                                    retry_policy=None,
-                                    execution=None,
-                                    worker_pool=None, pipeline=None,
-                                    config=None, backend=None):
+                                    retry_policy=None, config=None,
+                                    backend=None):
     """Solve all instructions in one CEGIS query.
 
     Returns ``(solutions, stats)`` where ``solutions`` is one
     ``InstructionSolution`` per instruction (so the control union applies
     unchanged downstream).  ``budget``/``retry_policy`` are threaded into
     the underlying CEGIS run; ``config``/``backend`` select the decision
-    procedure (``execution``/``worker_pool``/``pipeline`` are the
-    deprecated spellings).
+    procedure.
 
-    ``pipeline="incremental"`` reuses the problem's shared
+    ``config.pipeline="incremental"`` reuses the problem's shared
     :class:`~repro.synthesis.incremental.TraceCache` evaluation (instead
     of a private ``m!``-prefixed one) and runs the assumption-based CEGIS
     verify.  Conjoining the per-instruction formulas over the shared
@@ -49,11 +46,9 @@ def synthesize_monolithic_solutions(problem, timeout=None,
     """
     started = time.monotonic()
     spec = problem.spec
-    config = resolve_solver_config(config, backend=backend,
-                                   execution=execution,
-                                   worker_pool=worker_pool,
-                                   pipeline=pipeline)
+    config = resolve_solver_config(config, backend=backend)
     pipeline = resolve_pipeline(config.pipeline)
+    config = config.replace(pipeline=pipeline)
     if pipeline == "incremental":
         entry = problem.trace_cache().entry(problem)
         prefix = entry.prefix
@@ -128,7 +123,6 @@ def synthesize_monolithic_solutions(problem, timeout=None,
         formula, list(constants.values()), timeout=timeout, stats=stats,
         max_iterations=max_iterations, budget=budget,
         retry_policy=retry_policy, config=config,
-        incremental=(pipeline == "incremental"),
     )
     elapsed = time.monotonic() - started
     solutions = []

@@ -57,9 +57,7 @@ def instruction_formula(problem, instruction, prefix):
 def synthesize_instruction(problem, instruction, index, timeout=None,
                            max_iterations=256, partial_eval=True,
                            budget=None, retry_policy=None,
-                           execution=None, worker_pool=None,
-                           pipeline=None, incremental_ctx=None,
-                           config=None, backend=None):
+                           incremental_ctx=None, config=None, backend=None):
     """Solve the hole constants for one instruction; returns a solution.
 
     ``budget`` is a ``repro.runtime.Budget`` slice for this instruction
@@ -67,8 +65,9 @@ def synthesize_instruction(problem, instruction, index, timeout=None,
     governs restart-with-escalation on retryable UNKNOWNs.
 
     ``config`` (a :class:`repro.smt.backends.SolverConfig`) or ``backend``
-    selects the decision procedure — e.g. ``backend="isolated"`` routes
-    every solver check through a worker pool's sandboxed child processes.
+    selects the decision procedure — e.g.
+    ``backend="incremental-subprocess"`` routes every solver check
+    through sandboxed child processes.
     The config's ``pipeline`` field selects ``"fresh"`` (per-instruction
     symbolic evaluation + per-iteration verifiers) or ``"incremental"``
     (the problem's shared
@@ -76,15 +75,11 @@ def synthesize_instruction(problem, instruction, index, timeout=None,
     assumption-based verify mode); ``None`` resolves to incremental
     unless ``partial_eval`` is disabled.  ``incremental_ctx`` shares one
     encode-once verifier across a serial run of instructions.
-    ``execution``/``worker_pool``/``pipeline`` are the deprecated PR-2
-    spellings of the same knobs.
     """
     started = time.monotonic()
-    config = resolve_solver_config(config, backend=backend,
-                                   execution=execution,
-                                   worker_pool=worker_pool,
-                                   pipeline=pipeline)
+    config = resolve_solver_config(config, backend=backend)
     pipeline = resolve_pipeline(config.pipeline, partial_eval)
+    config = config.replace(pipeline=pipeline)
     with _obs.span("synthesis.instruction", instr=instruction.name,
                    pipeline=pipeline, backend=config.backend_name):
         return _synthesize_instruction(
@@ -122,7 +117,6 @@ def _synthesize_instruction(problem, instruction, index, started, timeout,
         formula, hole_vars, timeout=timeout, stats=stats,
         max_iterations=max_iterations, partial_eval=partial_eval,
         budget=budget, retry_policy=retry_policy, config=config,
-        incremental=(pipeline == "incremental"),
         incremental_ctx=incremental_ctx,
     )
     hole_values = {

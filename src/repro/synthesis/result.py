@@ -85,8 +85,8 @@ class InstructionSolution:
     The encode counters (``solver_instances``, ``aig_nodes``,
     ``tseitin_clauses``, ``trace_cache_hits``) are deltas of the
     process-global ``repro.smt.counters`` taken across this instruction's
-    synthesis — exact in serial runs, jointly attributed under concurrent
-    dispatch.
+    synthesis; the engine solves instructions serially, so they are exact
+    unless another synthesis shares the process.
     """
 
     instruction_name: str

@@ -63,8 +63,7 @@ class VerificationResult:
 
 def verify_design(design, spec, alpha, const_mems=None, hole_values=None,
                   timeout_per_instruction=None, instructions=None,
-                  budget=None, execution=None, worker_pool=None,
-                  config=None, backend=None):
+                  budget=None, config=None, backend=None):
     """Check every instruction's pre→post on ``design``.
 
     ``hole_values`` allows verifying a sketch under concrete hole constants
@@ -77,13 +76,10 @@ def verify_design(design, spec, alpha, const_mems=None, hole_values=None,
     ``"unknown"`` whose ``reason`` names the exhausted cap (canonical, per
     ``repro.runtime.reasons``) — never a ``"proved"`` the solver did not
     actually establish.  ``config``/``backend`` select the decision
-    procedure exactly as in synthesis (``execution``/``worker_pool`` are
-    the deprecated spellings).
+    procedure exactly as in synthesis.
     """
     spec.validate()
-    config = resolve_solver_config(config, backend=backend,
-                                   execution=execution,
-                                   worker_pool=worker_pool)
+    config = resolve_solver_config(config, backend=backend)
     verdicts = []
     chosen = spec.instructions
     if instructions is not None:

@@ -11,13 +11,15 @@ CI host the way a timing assertion would.
 
 from repro.designs import alu_machine
 from repro.smt import counters as _counters
+from repro.smt.backends import SolverConfig
 from repro.synthesis import synthesize
 
 
 def _run(pipeline):
     problem = alu_machine.build_problem()
     before = _counters.snapshot()
-    result = synthesize(problem, timeout=300, pipeline=pipeline)
+    result = synthesize(problem, timeout=300,
+                        config=SolverConfig(pipeline=pipeline))
     return result, _counters.delta_since(before)
 
 

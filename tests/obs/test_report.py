@@ -48,7 +48,7 @@ def test_every_solver_query_has_an_owning_span(traced_run):
         assert query["result"] in ("sat", "unsat", "unknown")
         assert query["wall"] >= 0
         assert query["clauses"] > 0
-        assert query["execution"] == "inprocess"
+        assert query["backend"] == "inprocess"
 
 
 def test_iteration_count_reproduced_exactly(traced_run):

@@ -1,224 +1,233 @@
-"""Tests for the sandboxed solver worker pool.
+"""Tests for the sandboxed solver child behind ``incremental-subprocess``.
 
-Each test uses a real subprocess pool (no mocks): the containment claims
-— crash classification, watchdog reaping bounds, orphan-free shutdown —
-are only meaningful against live child processes.
+Each test drives real child processes through the ``Solver`` facade (no
+mocks): the containment claims — crash classification, watchdog reaping
+bounds, the circuit breaker, reaping every child with its owner — are
+only meaningful against live processes.
 """
 
+import _thread
+import gc
+import os
+import signal
 import threading
 import time
 
 import pytest
 
-from repro.runtime import (
-    FaultInjector,
-    SolverWorkerPool,
-    WorkerCrashed,
-    WorkerKilled,
-)
-from repro.runtime._worker_proto import EXIT_CRASH, EXIT_OOM
+from repro.obs import METRICS
+from repro.runtime import FaultInjector
 from repro.runtime.reasons import WORKER_REASONS, is_canonical
+from repro.smt import Solver
 from repro.smt import terms as T
-from repro.smt.dimacs import to_dimacs
+from repro.smt.backends import IncrementalSubprocessBackend
+from repro.smt.backends import incremental_subprocess as _backend
+from repro.smt.solver import SAT, UNSAT
+
+from tests.runtime.worker_procs import live_worker_pids, reader_threads
 
 
-def _sat_query():
-    x = T.bv_var("x", 4)
-    return to_dimacs([T.bv_eq(x, T.bv_const(9, 4))])
+def _sandboxed(**kwargs):
+    return Solver(backend=IncrementalSubprocessBackend(**kwargs))
 
 
-def _unsat_query():
-    x = T.bv_var("x", 4)
-    return to_dimacs([
-        T.bv_ult(x, T.bv_const(3, 4)),
-        T.bv_ugt(x, T.bv_const(12, 4)),
-    ])
+def _sat_query(solver, name="x"):
+    x = T.bv_var(name, 4)
+    solver.add(T.bv_eq(x, T.bv_const(9, 4)))
+    return x
 
 
-@pytest.fixture
-def pool():
-    pool = SolverWorkerPool(size=1, heartbeat_interval=0.1)
-    yield pool
-    accounting = pool.shutdown()
-    assert accounting["orphans"] == 0
-    assert not pool.live_pids()
+def test_clean_check_decodes_model():
+    solver = _sandboxed()
+    try:
+        x = _sat_query(solver)
+        assert solver.check() is SAT
+        assert solver.model().value(x) == 9
+        solver.add(T.bv_ult(x, T.bv_const(3, 4)))
+        assert solver.check() is UNSAT
+    finally:
+        solver.backend.close()
 
 
-def test_clean_check_decodes_model(pool):
-    outcome = pool.check(_sat_query())
-    assert outcome.verdict == "sat"
-    assert outcome.model["x"] == 9
-
-    outcome = pool.check(_unsat_query())
-    assert outcome.verdict == "unsat"
-
-
-def test_injected_crash_classified_and_pool_recovers(pool):
-    injector = FaultInjector().inject_worker_crash(at_request=1)
-    with injector.installed():
-        with pytest.raises(WorkerCrashed) as excinfo:
-            pool.check(_sat_query())
-    assert excinfo.value.reason == "worker-crashed"
-    assert excinfo.value.reason in WORKER_REASONS
-    assert excinfo.value.exit_code == EXIT_CRASH
-    # The pool respawned a replacement; the next check succeeds.
-    assert pool.check(_sat_query()).verdict == "sat"
-    assert pool.stats["spawned"] == 2
-    assert pool.stats["crashes"] == 1
+def test_injected_crash_classified_and_pool_recovers():
+    before = METRICS.snapshot()
+    solver = _sandboxed()
+    try:
+        x = _sat_query(solver)
+        injector = FaultInjector().inject_worker_crash(at_request=1)
+        with injector.installed():
+            verdict = solver.check()
+        assert verdict.reason == "worker-crashed"
+        assert verdict.reason in WORKER_REASONS
+        # The next check respawns a child and replays the clause mirror.
+        assert solver.check() is SAT
+        assert solver.model().value(x) == 9
+    finally:
+        solver.backend.close()
+    delta = METRICS.delta_since(before)
+    assert delta["worker.spawned"] == 2
+    assert delta["worker.crashes"] == 1
 
 
 def test_injected_oom_is_classified_not_raw_memoryerror():
     # A roomier heartbeat interval than the other tests: allocation up to
-    # the rlimit stalls the worker's beats enough that a tight threshold
-    # would race the watchdog against the OOM report.
-    pool = SolverWorkerPool(size=1, heartbeat_interval=0.5,
-                            mem_limit_mb=256)
+    # the rlimit stalls the child's beats enough that a tight threshold
+    # would race the watchdog against the OOM exit.
+    solver = _sandboxed(heartbeat_interval=0.5, mem_limit_mb=256)
     try:
+        _sat_query(solver)
         injector = FaultInjector().inject_worker_oom(at_request=1)
         with injector.installed():
-            with pytest.raises(WorkerCrashed) as excinfo:
-                pool.check(_sat_query())
+            verdict = solver.check()
         # Machine-readable classification, never a raw MemoryError —
         # and always a canonical reason (repro.runtime.reasons).
-        assert excinfo.value.reason == "worker-oom"
-        assert is_canonical(excinfo.value.reason)
-        assert not isinstance(excinfo.value, MemoryError)
-        assert pool.check(_sat_query()).verdict == "sat"
+        assert verdict.reason == "worker-oom"
+        assert is_canonical(verdict.reason)
+        assert solver.check() is SAT
     finally:
-        accounting = pool.shutdown()
-        assert accounting["orphans"] == 0
+        solver.backend.close()
 
 
 def test_hung_worker_reaped_within_watchdog_bound():
-    interval = 0.25
-    pool = SolverWorkerPool(size=1, heartbeat_interval=interval)
+    interval, grace = 0.1, 3.0
+    solver = _sandboxed(heartbeat_interval=interval, watchdog_grace=grace)
     try:
+        _sat_query(solver)
         injector = FaultInjector().inject_worker_hang(at_request=1)
         started = time.monotonic()
         with injector.installed():
-            with pytest.raises(WorkerKilled) as excinfo:
-                pool.check(_sat_query())
+            verdict = solver.check()
         elapsed = time.monotonic() - started
-        assert excinfo.value.reason == "heartbeat-lost"
-        assert excinfo.value.reason in WORKER_REASONS
-        # Killed within watchdog_grace (2x) heartbeat intervals, plus
-        # scan-period and process-teardown slack — not the 3600s hang.
-        assert elapsed < 2 * interval + 1.0, elapsed
-        assert pool.stats["watchdog_kills"] == 1
+        assert verdict.reason == "heartbeat-lost"
+        assert verdict.reason in WORKER_REASONS
+        # Killed within watchdog_grace heartbeat intervals, plus poll and
+        # process-teardown slack — not the 3600 s hang.
+        assert elapsed < grace * interval + 1.0, elapsed
+        assert solver.check() is SAT
     finally:
-        accounting = pool.shutdown()
-        assert accounting["orphans"] == 0
-        assert not pool.live_pids()
+        solver.backend.close()
+
+
+def test_sigxcpu_is_classified_as_worker_cpu(monkeypatch, tmp_path):
+    # The kernel's RLIMIT_CPU enforcement is a SIGXCPU; deliver it to a
+    # hung child directly so the test does not burn a second of CPU.
+    # (SIGXCPU may dump core: keep any core file out of the checkout.)
+    monkeypatch.chdir(tmp_path)
+    solver = _sandboxed(heartbeat_interval=5.0)
+    backend = solver.backend
+    try:
+        _sat_query(solver)
+        assert solver.check() is SAT
+        backend.inject_fault("hang")
+        pid = backend._child.pid
+        timer = threading.Timer(0.5, os.kill, (pid, signal.SIGXCPU))
+        timer.start()
+        verdict = solver.check()
+        timer.join(timeout=10.0)
+        assert not timer.is_alive()
+        assert verdict.reason == "worker-cpu"
+        assert is_canonical(verdict.reason)
+    finally:
+        backend.close()
 
 
 def test_interrupt_teardown_classified_as_interrupted():
-    # Watchdog effectively disabled (huge interval): the kill must come
-    # from terminate_inflight, and classify as non-retryable.
-    pool = SolverWorkerPool(size=1, heartbeat_interval=30.0)
+    # Watchdog effectively disabled: the KeyboardInterrupt must reach the
+    # caller as itself (the engine classifies it as "interrupted"), never
+    # as a retryable child fault, and the abandoned child must be reaped
+    # so a later check cannot read its stale answer.
+    before = live_worker_pids()
+    solver = _sandboxed(heartbeat_interval=30.0)
+    backend = solver.backend
     try:
-        injector = FaultInjector().inject_worker_hang(at_request=1)
-        caught = []
-
-        def submit():
-            with pytest.raises(WorkerKilled) as excinfo:
-                pool.check(_sat_query())
-            caught.append(excinfo.value)
-
-        with injector.installed():
-            thread = threading.Thread(target=submit)
-            thread.start()
-            time.sleep(0.4)  # let the request reach the worker
-            pool.terminate_inflight()
-            thread.join(timeout=10.0)
-        assert not thread.is_alive()
-        assert caught and caught[0].reason == "interrupted"
-        assert is_canonical(caught[0].reason)
+        x = _sat_query(solver)
+        assert solver.check() is SAT
+        backend.inject_fault("hang")
+        timer = threading.Timer(0.3, _thread.interrupt_main)
+        timer.start()
+        with pytest.raises(KeyboardInterrupt):
+            solver.check()
+        timer.join(timeout=10.0)
+        assert not timer.is_alive()
+        assert live_worker_pids() - before == set()
+        assert solver.check() is SAT
+        assert solver.model().value(x) == 9
     finally:
-        assert pool.shutdown()["orphans"] == 0
+        backend.close()
 
 
 def test_circuit_breaker_falls_back_in_process():
-    from repro.smt.solver import Solver, SAT
-
-    pool = SolverWorkerPool(size=1, heartbeat_interval=0.1,
-                            fallback_after=1)
+    before = METRICS.snapshot()
+    solver = _sandboxed()
     try:
-        solver = Solver(execution="isolated", worker_pool=pool)
-        x = T.bv_var("x", 4)
-        solver.add(T.bv_eq(x, T.bv_const(5, 4)))
+        x = _sat_query(solver)
         injector = FaultInjector().inject_worker_crash(at_request="all")
         with injector.installed():
-            with pytest.raises(WorkerCrashed):
-                solver.check()
-            # Same query again: the breaker is open, so this solves
-            # in-process and succeeds despite the persistent directive.
+            for _ in range(_backend.BREAKER_THRESHOLD):
+                assert solver.check().reason == "worker-crashed"
+            # The breaker is open: the mirror is replayed into an
+            # in-process core, which answers despite the persistent
+            # directive — and no further child is spawned.
             assert solver.check() is SAT
-        assert solver.model().value(x) == 5
-        assert solver.stats["worker_fallbacks"] == 1
-        assert pool.stats["fallbacks"] == 1
+            assert solver.check() is SAT
+        assert solver.model().value(x) == 9
     finally:
-        assert pool.shutdown()["orphans"] == 0
+        solver.backend.close()
+    delta = METRICS.delta_since(before)
+    assert delta["worker.fallbacks"] == 1
+    assert delta["worker.spawned"] == _backend.BREAKER_THRESHOLD
 
 
-def test_respawn_pause_is_deterministic_jitter():
-    # Pure schedule test: no subprocesses, just the delay computation.
-    def schedule(seed):
-        pool = SolverWorkerPool.__new__(SolverWorkerPool)
-        pool.respawn_jitter = 0.01
-        pool.respawn_jitter_cap = 0.25
-        import random as _random
-        import threading as _threading
-        pool._respawn_rng = _random.Random(seed)
-        pool._respawn_previous = 0.0
-        pool._lock = _threading.Lock()
-        return [pool._respawn_pause() for _ in range(8)]
-
-    first = schedule(2024)
-    assert first == schedule(2024)  # seeded -> reproducible
-    assert first != schedule(7)     # but seed-dependent
-    assert all(0.01 <= pause <= 0.25 for pause in first)
-    assert len(set(first)) > 1      # jittered, not a constant
-
-
-def test_respawn_after_crash_sleeps_jittered_delay():
-    pool = SolverWorkerPool(size=1, heartbeat_interval=0.1, seed=42)
-    sleeps = []
-    pool._sleep = sleeps.append
+def test_crash_storm_dumps_flight_recorder(monkeypatch):
+    dumps = []
+    monkeypatch.setattr(_backend._flight, "flight_dump", dumps.append)
+    monkeypatch.setattr(_backend, "_STORMS", _backend._StormWatch())
+    solver = _sandboxed()
     try:
-        injector = FaultInjector().inject_worker_crash(at_request=1)
+        _sat_query(solver)
+        injector = FaultInjector().inject_worker_crash(at_request=[1, 3, 5])
         with injector.installed():
-            with pytest.raises(WorkerCrashed):
-                pool.check(_sat_query())
-        assert pool.check(_sat_query()).verdict == "sat"
-        # Exactly one respawn happened, preceded by one jittered pause.
-        assert len(sleeps) == 1
-        assert 0.01 <= sleeps[0] <= 0.25
+            verdicts = [solver.check() for _ in range(6)]
     finally:
-        assert pool.shutdown()["orphans"] == 0
+        solver.backend.close()
+    assert [v.name for v in verdicts] == ["unknown", "sat"] * 3
+    assert dumps == ["worker-crash-storm"]
 
 
-def test_respawn_jitter_zero_disables_pause():
-    pool = SolverWorkerPool(size=1, heartbeat_interval=0.1,
-                            respawn_jitter=0.0)
-    sleeps = []
-    pool._sleep = sleeps.append
+def test_starts_from_a_checkout_without_pythonpath(monkeypatch, tmp_path):
+    # The child must find the package even when nothing on the parent's
+    # environment names the source tree.
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    monkeypatch.chdir(tmp_path)
+    solver = _sandboxed()
     try:
-        injector = FaultInjector().inject_worker_crash(at_request=1)
-        with injector.installed():
-            with pytest.raises(WorkerCrashed):
-                pool.check(_sat_query())
-        assert pool.check(_sat_query()).verdict == "sat"
-        assert sleeps == []
+        x = _sat_query(solver)
+        for _ in range(3):
+            assert solver.check() is SAT
+        assert solver.model().value(x) == 9
     finally:
-        assert pool.shutdown()["orphans"] == 0
+        solver.backend.close()
+
+
+def test_dropped_solvers_reap_their_children():
+    pids_before, threads_before = live_worker_pids(), reader_threads()
+    solvers = [_sandboxed() for _ in range(5)]
+    for index, solver in enumerate(solvers):
+        _sat_query(solver, f"drop{index}")
+        assert solver.check() is SAT
+    assert len(live_worker_pids() - pids_before) == 5
+    del solver, solvers
+    gc.collect()
+    assert live_worker_pids() - pids_before == set()
+    assert reader_threads() - threads_before == set()
 
 
 def test_shutdown_accounting_balances():
-    pool = SolverWorkerPool(size=2, heartbeat_interval=0.1)
-    assert pool.check(_sat_query()).verdict == "sat"
-    accounting = pool.shutdown()
-    assert accounting["spawned"] == accounting["reaped"] == 2
-    assert accounting["orphans"] == 0
-    assert not pool.live_pids()
-    with pytest.raises(RuntimeError):
-        pool.check(_sat_query())
+    before = METRICS.snapshot()
+    solver = _sandboxed()
+    _sat_query(solver)
+    assert solver.check() is SAT
+    solver.backend.close()
+    delta = METRICS.delta_since(before)
+    assert delta["worker.spawned"] == delta["worker.reaped"] == 1
+    assert delta["worker.requests"] == 1

@@ -16,7 +16,7 @@ from repro.service import (
     register_problem,
 )
 from repro.service.problems import PROBLEMS, build_problem
-from repro.smt.backends import SolverConfig
+from repro.smt.backends import IncrementalSubprocessBackend, SolverConfig
 
 _FAST_RETRY = RetryPolicy(backoff=0.001, backoff_ceiling=0.002)
 
@@ -212,9 +212,11 @@ def test_idempotency_key_is_content_addressed():
     assert idempotency_key(problem) != idempotency_key(
         problem, mode="monolithic")
     assert idempotency_key(problem) != idempotency_key(
-        problem, config=SolverConfig(backend="isolated"))
-    # Worker counts change speed, not answers: same key.
-    assert idempotency_key(problem, config=SolverConfig(max_workers=4)) \
-        == idempotency_key(problem)
+        problem, config=SolverConfig(backend="incremental-subprocess"))
+    # A backend instance addresses the same results as its name.
+    assert idempotency_key(
+        problem, config=SolverConfig(backend=IncrementalSubprocessBackend())
+    ) == idempotency_key(
+        problem, config=SolverConfig(backend="incremental-subprocess"))
     other = build_problem("alu_machine")
     assert idempotency_key(problem) != idempotency_key(other)

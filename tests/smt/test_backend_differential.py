@@ -1,8 +1,9 @@
 """Differential testing across every registered solver backend.
 
 The backend seam's contract is that the decision procedure is
-interchangeable: the in-process CDCL core, the sandboxed worker pool and
-an external DIMACS solver must all return the same SAT/UNSAT verdicts —
+interchangeable: the in-process CDCL core, the sandboxed persistent
+child, an external DIMACS solver and a portfolio race must all return
+the same SAT/UNSAT verdicts —
 and, because CEGIS is deterministic given those verdicts, bit-identical
 synthesized control logic — on the same designs.  Any divergence means a
 backend is mistranslating queries or models.
@@ -18,7 +19,6 @@ import sys
 import pytest
 
 from repro.designs import accumulator, alu_machine
-from repro.runtime import SolverWorkerPool
 from repro.smt import Solver
 from repro.smt import terms as T
 from repro.smt.backends import SolverConfig
@@ -29,13 +29,11 @@ from repro.synthesis import synthesize, verify_design
 FAKE_SOLVER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "fake_sat_solver.py")
 
-BACKENDS = ("inprocess", "isolated", "subprocess-dimacs",
-            "incremental-subprocess", "portfolio")
+BACKENDS = ("inprocess", "subprocess-dimacs", "incremental-subprocess",
+            "portfolio")
 
 
-def _make_config(backend_name, pool):
-    if backend_name == "isolated":
-        return SolverConfig(backend="isolated", worker_pool=pool)
+def _make_config(backend_name):
     if backend_name == "incremental-subprocess":
         # By *name*, not instance: every Solver must get its own child
         # (the backend is stateful — it IS the solver's encoding core).
@@ -65,16 +63,12 @@ def _make_config(backend_name, pool):
 def results_by_backend(request):
     """One synthesis result per registered backend, same problem."""
     design = request.param
-    pool = SolverWorkerPool(size=2)
-    try:
-        results = {}
-        for name in BACKENDS:
-            problem = design.build_problem()
-            results[name] = synthesize(
-                problem, timeout=300, config=_make_config(name, pool))
-        yield design, results
-    finally:
-        pool.shutdown()
+    results = {}
+    for name in BACKENDS:
+        problem = design.build_problem()
+        results[name] = synthesize(problem, timeout=300,
+                                   config=_make_config(name))
+    return design, results
 
 
 def test_backends_report_their_own_name(results_by_backend):
@@ -126,20 +120,13 @@ def test_every_backend_result_verifies_independently(results_by_backend):
 # ---------------------------------------------------------------------------
 
 
-def _solver_for(backend_name, pool):
-    return Solver(**_make_config(backend_name, pool).solver_kwargs())
-
-
-@pytest.fixture(scope="module")
-def verdict_pool():
-    pool = SolverWorkerPool(size=1)
-    yield pool
-    pool.shutdown()
+def _solver_for(backend_name):
+    return Solver(**_make_config(backend_name).solver_kwargs())
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
-def test_sat_verdicts_and_models_agree(backend_name, verdict_pool):
-    solver = _solver_for(backend_name, verdict_pool)
+def test_sat_verdicts_and_models_agree(backend_name):
+    solver = _solver_for(backend_name)
     x = T.bv_var("x", 8)
     solver.add(T.bv_eq(T.bv_add(x, T.bv_const(1, 8)), T.bv_const(10, 8)))
     assert solver.check() is SAT
@@ -147,8 +134,8 @@ def test_sat_verdicts_and_models_agree(backend_name, verdict_pool):
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
-def test_unsat_verdicts_agree(backend_name, verdict_pool):
-    solver = _solver_for(backend_name, verdict_pool)
+def test_unsat_verdicts_agree(backend_name):
+    solver = _solver_for(backend_name)
     x = T.bv_var("x", 8)
     solver.add(T.bv_eq(x, T.bv_const(3, 8)))
     solver.add(T.bv_eq(x, T.bv_const(4, 8)))
@@ -156,10 +143,10 @@ def test_unsat_verdicts_agree(backend_name, verdict_pool):
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
-def test_assumption_verdicts_agree(backend_name, verdict_pool):
+def test_assumption_verdicts_agree(backend_name):
     """Assumptions work on every backend — natively on incremental ones,
     by re-encoding as unit constraints on stateless ones."""
-    solver = _solver_for(backend_name, verdict_pool)
+    solver = _solver_for(backend_name)
     x = T.bv_var("x", 8)
     solver.add(T.bv_ult(x, T.bv_const(10, 8)))
     assert solver.check(

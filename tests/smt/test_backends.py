@@ -4,8 +4,8 @@ Three layers under test:
 
 * the registry (``available_backends`` / ``register_backend`` /
   ``resolve_backend``) and the capability table it reports;
-* ``SolverConfig`` + ``resolve_solver_config`` — the single funnel the
-  legacy ``execution=``/``worker_pool=``/``pipeline=`` kwargs drain into;
+* ``SolverConfig`` + ``resolve_solver_config`` — the one way to say how
+  checks run (a backend and a pipeline, nothing else);
 * the ``subprocess-dimacs`` backend's full failure taxonomy, driven
   hermetically by ``fake_sat_solver.py``'s misbehavior flags.
 """
@@ -67,10 +67,9 @@ def _sat_query(solver):
 
 
 def test_builtin_backends_are_registered():
-    names = available_backends()
-    for name in ("inprocess", "isolated", "subprocess-dimacs",
-                 "incremental-subprocess", "portfolio"):
-        assert name in names
+    assert available_backends() == (
+        "inprocess", "subprocess-dimacs", "incremental-subprocess",
+        "portfolio")
 
 
 def test_capability_table_matches_the_docs():
@@ -79,11 +78,6 @@ def test_capability_table_matches_the_docs():
         "supports_assumptions": True,
         "supports_incremental": True,
         "produces_models": False,
-    }
-    assert table["isolated"] == {
-        "supports_assumptions": False,
-        "supports_incremental": False,
-        "produces_models": True,
     }
     assert table["subprocess-dimacs"] == {
         "supports_assumptions": False,
@@ -115,12 +109,7 @@ def test_resolve_backend_instance_passes_through():
 
 def test_register_backend_rejects_duplicates():
     with pytest.raises(ValueError, match="already registered"):
-        register_backend("inprocess", lambda worker_pool=None: None)
-
-
-def test_isolated_without_pool_is_a_clear_error():
-    with pytest.raises(ValueError, match="requires a worker_pool"):
-        resolve_backend("isolated")
+        register_backend("inprocess", lambda: None)
 
 
 def test_env_var_sets_the_process_default_backend(monkeypatch):
@@ -143,8 +132,7 @@ def test_custom_backend_registers_and_serves_checks():
             verdict, values, conflicts = solve_dimacs(cnf)
             return BackendResult(verdict, model=values, conflicts=conflicts)
 
-    register_backend("echo-cdcl", lambda worker_pool=None: EchoCdclBackend(),
-                     cls=EchoCdclBackend)
+    register_backend("echo-cdcl", EchoCdclBackend, cls=EchoCdclBackend)
     try:
         assert "echo-cdcl" in available_backends()
         solver = Solver(backend="echo-cdcl")
@@ -157,8 +145,15 @@ def test_custom_backend_registers_and_serves_checks():
 
 
 # ---------------------------------------------------------------------------
-# SolverConfig resolution and the deprecated kwargs
+# SolverConfig resolution
 # ---------------------------------------------------------------------------
+
+
+def test_solver_config_has_exactly_backend_and_pipeline():
+    import dataclasses
+
+    fields = [field.name for field in dataclasses.fields(SolverConfig)]
+    assert fields == ["backend", "pipeline"]
 
 
 def test_config_passes_through_untouched():
@@ -170,42 +165,8 @@ def test_config_plus_knobs_is_a_contradiction():
     config = SolverConfig()
     with pytest.raises(ValueError, match="not both"):
         resolve_solver_config(config=config, backend="inprocess")
-    with pytest.raises(ValueError, match="pipeline"):
-        resolve_solver_config(config=config, pipeline="fresh")
-
-
-def test_legacy_execution_kwarg_warns_and_maps():
-    with pytest.warns(DeprecationWarning, match="execution is deprecated"):
-        config = resolve_solver_config(execution="inprocess")
-    assert config.backend_name == "inprocess"
-
-
-def test_legacy_kwargs_warn_once_naming_all_offenders():
-    with pytest.warns(DeprecationWarning,
-                      match="execution, pipeline are deprecated"):
-        config = resolve_solver_config(execution="inprocess",
-                                       pipeline="fresh")
-    assert config.pipeline == "fresh"
-
-
-def test_unknown_execution_mode_raises():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="unknown execution mode"):
-            resolve_solver_config(execution="quantum")
-
-
-def test_execution_conflicting_with_backend_raises():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="conflicting backend"):
-            resolve_solver_config(execution="isolated", backend="inprocess")
-
-
-def test_solver_accepts_legacy_execution_with_warning():
-    with pytest.warns(DeprecationWarning,
-                      match=r"Solver\(execution=...\) is deprecated"):
-        solver = Solver(execution="inprocess")
-    assert solver.backend_name == "inprocess"
-    assert solver.execution == "inprocess"
+    assert resolve_solver_config(backend="inprocess").backend_name \
+        == "inprocess"
 
 
 def test_solver_config_solver_kwargs_round_trip():
@@ -293,7 +254,6 @@ def test_subprocess_checks_count_as_worker_checks():
     _sat_query(solver)
     solver.check()
     assert solver.stats["worker_checks"] == 1
-    assert solver.stats["worker_fallbacks"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -517,4 +477,5 @@ def test_every_solver_query_event_names_its_backend(tmp_path):
     assert seen == {"inprocess", "subprocess-dimacs"}
     for query in queries:
         assert query["backend"], "unattributed solver query"
-        assert query["execution"] == query["backend"]
+        # One field names the backend; the old duplicate is gone.
+        assert "execution" not in query

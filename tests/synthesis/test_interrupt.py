@@ -3,18 +3,20 @@
 An interrupt mid-synthesis must behave exactly like budget exhaustion:
 the engine hands back (or attaches) a ``PartialSynthesisResult`` with
 reason ``"interrupted"`` carrying every completed instruction, the handle
-resumes, and any live solver workers are terminated rather than orphaned.
+resumes, and any sandboxed solver children are reaped rather than orphaned.
 """
 
 import pytest
 
 from repro.designs import alu_machine
-from repro.runtime import SolverWorkerPool
+from repro.smt.backends import SolverConfig
 from repro.synthesis import (
     PartialSynthesisResult,
     synthesize,
     verify_design,
 )
+
+from tests.runtime.worker_procs import live_worker_pids, reader_threads
 
 
 @pytest.fixture
@@ -67,25 +69,25 @@ def test_interrupt_reraises_with_partial_attached(alu_problem):
 
 
 def test_interrupt_during_isolated_run_terminates_workers(alu_problem):
-    pool = SolverWorkerPool(size=1, heartbeat_interval=0.1)
-    try:
-        partial = synthesize(alu_problem, execution="isolated",
-                             worker_pool=pool, timeout=300,
-                             progress=_InterruptAfter(1),
-                             on_timeout="partial")
-        assert isinstance(partial, PartialSynthesisResult)
-        assert partial.reason == "interrupted"
-        assert partial.completed_count >= 1
-        # Resume on the same (still healthy) pool completes the design.
-        resumed = synthesize(alu_problem, execution="isolated",
-                             worker_pool=pool, timeout=300,
-                             resume_from=partial.to_dict())
-        for name, expected in alu_machine.REFERENCE_HOLE_VALUES.items():
-            assert resumed.hole_values_for(name) == expected
-    finally:
-        accounting = pool.shutdown()
-    assert accounting["orphans"] == 0
-    assert not pool.live_pids()
+    config = SolverConfig(backend="incremental-subprocess")
+    pids_before, threads_before = live_worker_pids(), reader_threads()
+    partial = synthesize(alu_problem, config=config, timeout=300,
+                         progress=_InterruptAfter(1), on_timeout="partial")
+    assert isinstance(partial, PartialSynthesisResult)
+    assert partial.reason == "interrupted"
+    assert partial.completed_count >= 1
+    # The interrupted run left no child process or reader thread behind.
+    assert live_worker_pids() - pids_before == set()
+    assert reader_threads() - threads_before == set()
+    # Resuming from the handle completes the design.
+    resumed = synthesize(alu_problem, config=config, timeout=300,
+                         resume_from=partial.to_dict())
+    for name, expected in alu_machine.REFERENCE_HOLE_VALUES.items():
+        assert resumed.hole_values_for(name) == expected
+    verdict = verify_design(resumed.completed_design, alu_problem.spec,
+                            alu_problem.alpha)
+    assert verdict.ok, verdict.summary()
+    assert live_worker_pids() - pids_before == set()
 
 
 def test_interrupt_in_monolithic_mode(alu_problem):

@@ -1,16 +1,25 @@
-"""End-to-end synthesis with isolated (sandboxed subprocess) execution.
+"""End-to-end synthesis on the process-isolated (sandboxed) backend.
 
-The acceptance property: an ``execution="isolated"`` run survives worker
-deaths injected mid-synthesis — a hard crash and a hang — and still
-completes correct, independently verified control logic, with every
-worker process accounted for at shutdown.
+The acceptance property: a ``backend="incremental-subprocess"`` run
+survives child deaths injected mid-synthesis — a hard crash and a hang —
+and still completes correct, independently verified control logic, with
+every child process accounted for and reaped by the time ``synthesize``
+returns.
 """
 
 import pytest
 
 from repro.designs import alu_machine
-from repro.runtime import FaultInjector, SolverWorkerPool
-from repro.synthesis import synthesize, verify_design
+from repro.obs import METRICS
+from repro.runtime import FaultInjector
+from repro.smt.backends import SolverConfig
+from repro.smt.solver import SAT, UNSAT
+from repro.synthesis import PartialSynthesisResult, synthesize, verify_design
+from repro.synthesis.incremental import IncrementalContext
+
+from tests.runtime.worker_procs import live_worker_pids, reader_threads
+
+SANDBOXED = SolverConfig(backend="incremental-subprocess")
 
 
 @pytest.fixture
@@ -24,16 +33,12 @@ def _assert_reference_values(result):
 
 
 def test_isolated_survives_injected_crash_and_hang(alu_problem):
-    pool = SolverWorkerPool(size=2, heartbeat_interval=0.1)
+    before = METRICS.snapshot()
     injector = FaultInjector()
     injector.inject_worker_crash(at_request=2)
     injector.inject_worker_hang(at_request=4)
-    try:
-        with injector.installed():
-            result = synthesize(alu_problem, execution="isolated",
-                                worker_pool=pool, timeout=300)
-    finally:
-        accounting = pool.shutdown()
+    with injector.installed():
+        result = synthesize(alu_problem, config=SANDBOXED, timeout=300)
     assert [kind for kind, _ in injector.fired] == [
         "worker:crash", "worker:hang",
     ]
@@ -41,64 +46,101 @@ def test_isolated_survives_injected_crash_and_hang(alu_problem):
     verdict = verify_design(result.completed_design, alu_problem.spec,
                             alu_problem.alpha)
     assert verdict.ok, verdict.summary()
-    # Both deaths were contained and replaced...
-    assert accounting["crashes"] >= 2
-    assert accounting["watchdog_kills"] >= 1
-    # ...and nothing leaked: every spawned worker was collected.
-    assert accounting["spawned"] == accounting["reaped"]
-    assert accounting["orphans"] == 0
-    assert not pool.live_pids()
+    delta = METRICS.delta_since(before)
+    # Both deaths were contained and retried on a respawned child...
+    assert delta["worker.crashes"] >= 2
+    assert delta["worker.watchdog_kills"] >= 1
+    # ...and nothing leaked: every spawned child was collected.
+    assert delta["worker.spawned"] == delta["worker.reaped"]
 
 
 def test_isolated_matches_inprocess_solutions(alu_problem):
     inproc = synthesize(alu_problem, timeout=300)
-    isolated = synthesize(alu_problem, execution="isolated",
-                          max_workers=2, timeout=300)
-    assert isolated.stats["execution"] == "isolated"
+    sandboxed = synthesize(alu_problem, config=SANDBOXED, timeout=300)
+    assert sandboxed.stats["backend"] == "incremental-subprocess"
     for solution in inproc.per_instruction:
-        assert isolated.hole_values_for(solution.instruction_name) \
+        assert sandboxed.hole_values_for(solution.instruction_name) \
             == solution.hole_values
-    _assert_reference_values(isolated)
+    _assert_reference_values(sandboxed)
 
 
 def test_engine_owned_pool_is_shut_down(alu_problem):
-    # No pool passed: the engine creates one and must tear it down —
-    # observable as zero live worker processes after the call returns.
-    result = synthesize(alu_problem, execution="isolated", max_workers=2,
-                        timeout=300)
+    # Every child the run spawned is reaped when synthesize returns —
+    # observable as zero live worker processes and no reader threads,
+    # without waiting for garbage collection.
+    pids_before, threads_before = live_worker_pids(), reader_threads()
+    before = METRICS.snapshot()
+    result = synthesize(alu_problem, config=SANDBOXED, timeout=300)
     _assert_reference_values(result)
+    assert live_worker_pids() - pids_before == set()
+    assert reader_threads() - threads_before == set()
+    delta = METRICS.delta_since(before)
+    assert delta["worker.spawned"] > 0
+    assert delta["worker.spawned"] == delta["worker.reaped"]
+
+
+def test_run_reaps_children_of_solvers_that_outlive_it(alu_problem,
+                                                      monkeypatch):
+    # Reaping at the end of a run must not depend on garbage collection:
+    # even when something keeps the run's solvers alive, their children
+    # are gone once synthesize returns — and a kept solver respawns and
+    # replays if it is ever checked again.
+    kept = []
+    original_init = IncrementalContext.__init__
+
+    def keeping_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        kept.append(self)
+
+    monkeypatch.setattr(IncrementalContext, "__init__", keeping_init)
+    pids_before, threads_before = live_worker_pids(), reader_threads()
+    synthesize(alu_problem, config=SANDBOXED, timeout=300)
+    solvers = [solver for ctx in kept for solver in ctx._folded.values()]
+    assert solvers
+    assert live_worker_pids() - pids_before == set()
+    assert reader_threads() - threads_before == set()
+    solver = solvers[0]
+    try:
+        assert solver.check() in (SAT, UNSAT)
+    finally:
+        solver.backend.close()
+
+
+def test_partial_run_reaps_its_children(alu_problem):
+    # A run that stops early (drained at its first checkpoint) returns a
+    # partial result — and still leaves no child or reader thread alive.
+    pids_before, threads_before = live_worker_pids(), reader_threads()
+    partial = synthesize(alu_problem, config=SANDBOXED, timeout=300,
+                         checkpoint=lambda snapshot: False,
+                         on_timeout="partial")
+    assert isinstance(partial, PartialSynthesisResult)
+    assert partial.reason == "drained"
+    assert partial.completed_count == 1
+    assert live_worker_pids() - pids_before == set()
+    assert reader_threads() - threads_before == set()
 
 
 def test_persistent_crasher_trips_breaker_and_completes(alu_problem):
-    # Every request crashes its worker; the per-query circuit breaker
-    # must open after one failure and finish the run in-process.
-    pool = SolverWorkerPool(size=1, heartbeat_interval=0.1,
-                            fallback_after=1)
+    # Every child solve crashes; each solver's circuit breaker must open
+    # and finish its checks in-process, and the run still completes.
+    before = METRICS.snapshot()
     injector = FaultInjector().inject_worker_crash(at_request="all")
-    try:
-        with injector.installed():
-            result = synthesize(alu_problem, execution="isolated",
-                                worker_pool=pool, timeout=300)
-    finally:
-        accounting = pool.shutdown()
+    with injector.installed():
+        result = synthesize(alu_problem, config=SANDBOXED, timeout=300)
     _assert_reference_values(result)
-    assert accounting["fallbacks"] > 0
-    assert accounting["orphans"] == 0
+    delta = METRICS.delta_since(before)
+    assert delta["worker.fallbacks"] > 0
+    assert delta["worker.spawned"] == delta["worker.reaped"]
 
 
 def test_isolated_monolithic_mode(alu_problem):
-    result = synthesize(alu_problem, mode="monolithic",
-                        execution="isolated", max_workers=1, timeout=300)
+    result = synthesize(alu_problem, mode="monolithic", config=SANDBOXED,
+                        timeout=300)
     _assert_reference_values(result)
 
 
 def test_isolated_verifier(alu_problem):
     completed = synthesize(alu_problem, timeout=300).completed_design
-    pool = SolverWorkerPool(size=1, heartbeat_interval=0.1)
-    try:
-        verdict = verify_design(completed, alu_problem.spec,
-                                alu_problem.alpha, execution="isolated",
-                                worker_pool=pool)
-    finally:
-        assert pool.shutdown()["orphans"] == 0
+    verdict = verify_design(completed, alu_problem.spec, alu_problem.alpha,
+                            config=SANDBOXED)
     assert verdict.ok, verdict.summary()

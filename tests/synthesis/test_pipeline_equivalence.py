@@ -16,6 +16,7 @@ time; the full-ISA comparison lives in the nightly bench lane
 import pytest
 
 from repro.designs import riscv
+from repro.smt.backends import SolverConfig
 from repro.synthesis import synthesize, verify_design
 
 # R-type, I-type and U-type cover the three hole-constraint shapes
@@ -31,7 +32,8 @@ def both_pipelines():
             "RV32I", "single_cycle", instructions=SUBSET
         )
         results[pipeline] = (
-            problem, synthesize(problem, timeout=300, pipeline=pipeline)
+            problem, synthesize(problem, timeout=300,
+                                config=SolverConfig(pipeline=pipeline))
         )
     return results
 
