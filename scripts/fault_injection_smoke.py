@@ -16,8 +16,9 @@ Five lanes:
 * **subprocess backend misbehavior** — an external DIMACS solver that
   crashes or prints garbage must degrade to a canonical
   ``unknown(backend-error)`` verdict, never a raw exception or a bogus
-  SAT; a well-behaved external solver must still synthesize a verifying
-  design.
+  SAT; one that answers SAT to an UNSAT query with a fabricated witness
+  must come back ``unknown(malformed-model)``; a well-behaved external
+  solver must still synthesize a verifying design.
 * **portfolio chaos** — the hedged-racing backend with one member that
   hangs forever and one that crashes intermittently must still complete
   the full synthesis bit-identically, with zero leaked temp files and a
@@ -137,7 +138,8 @@ def worker_containment(problem):
 
 
 def subprocess_backend_misbehavior(problem):
-    """A crashing or garbage-printing external solver degrades cleanly."""
+    """A crashing, garbage-printing or lying external solver degrades
+    cleanly."""
     for flag in ("--crash", "--garbage"):
         backend = SubprocessDimacsBackend(
             command=[sys.executable, _FAKE_SOLVER, flag])
@@ -150,6 +152,20 @@ def subprocess_backend_misbehavior(problem):
         assert is_canonical(verdict.reason), verdict.reason
         print(f"subprocess backend {flag}: degraded to "
               f"unknown({verdict.reason})")
+
+    # A lying solver: --flip answers SAT to an UNSAT query with a
+    # fabricated witness, which the facade checks against the CNF.
+    backend = SubprocessDimacsBackend(
+        command=[sys.executable, _FAKE_SOLVER, "--flip"])
+    solver = Solver(backend=backend)
+    x = terms.bv_var("smoke_x", 8)
+    solver.add(terms.bv_eq(x, terms.bv_const(7, 8)))
+    solver.add(terms.bv_eq(x, terms.bv_const(8, 8)))
+    verdict = solver.check()
+    assert verdict.name == "unknown", ("--flip", verdict)
+    assert verdict.reason == "malformed-model", ("--flip", verdict.reason)
+    print(f"subprocess backend --flip: lying SAT refused as "
+          f"unknown({verdict.reason})")
 
     # And a *well-behaved* external solver completes real synthesis.
     backend = SubprocessDimacsBackend(command=[sys.executable, _FAKE_SOLVER])

@@ -29,7 +29,8 @@ reason                    meaning
 ``interrupted``           SIGINT teardown stopped the run mid-flight
 ``backend-error``         an external solver produced garbage or crashed
 ``backend-missing``       no usable external solver binary was found
-``malformed-model``       a SAT verdict carried an out-of-width assignment
+``malformed-model``       a SAT verdict's witness falsified the query's CNF,
+                          or a model value was out of width
 ``cancelled``             a portfolio race winner made this member's answer
                           moot (internal; never surfaces as a verdict)
 ``disagreement``          portfolio members returned contradictory verdicts

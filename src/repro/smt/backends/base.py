@@ -12,27 +12,23 @@ answer "is this CNF satisfiable?":
   persistent child process, clauses streamed over a line protocol;
 * :class:`~repro.smt.backends.subprocess_dimacs.SubprocessDimacsBackend`
   — any installed DIMACS solver (kissat, cryptominisat, minisat, ...),
-  shelled out per query.
+  shelled out per query;
+* :class:`~repro.smt.backends.portfolio.PortfolioBackend` — a race over
+  stateless members.
 
-Capability flags tell the facade how to drive a backend:
+One capability flag tells the facade how to drive a backend:
 
 ``supports_incremental``
     The backend keeps clause state between checks.  The facade encodes
     assertion cones into it via :meth:`SolverBackend.new_var` /
-    :meth:`SolverBackend.add_clause` and passes ``cnf=None`` to
-    :meth:`SolverBackend.check`.  Stateless backends instead receive the
-    full DIMACS export of the current assertion set on every call.
-``supports_assumptions``
-    Per-call assumption literals are honored natively.  On backends
-    without it the facade *re-encodes*: assumption terms ride along in
-    the DIMACS export as unit clauses, which preserves correctness (each
-    check re-exports from scratch, so per-call scoping is automatic) at
-    the cost of losing learned-clause reuse.
-``produces_models``
-    SAT verdicts come with term-level model values decoded by the
-    backend (stateless backends own the CNF header, so they decode).
-    Incremental backends return a raw assignment instead and the facade
-    decodes through its own AIG mapping.
+    :meth:`SolverBackend.add_clause`, passes ``cnf=None`` to
+    :meth:`SolverBackend.check` with the assumptions as SAT literals, and
+    reads the model back through :meth:`SolverBackend.assignment`.
+    A stateless backend instead receives, on every call, the facade's
+    own clause log plus one unit clause per assumption as a
+    :class:`~repro.smt.dimacs.DimacsCnf`, and returns its witness in
+    :attr:`BackendResult.assignment`.  The facade checks that witness
+    against the CNF (:func:`vet_witness`) before decoding it.
 
 Verdicts are plain strings here (``"sat"``/``"unsat"``/``"unknown"``);
 the facade maps them onto its ``SAT``/``UNSAT``/``Unknown`` singletons.
@@ -43,9 +39,9 @@ This keeps the backend layer import-light — backends must never import
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-__all__ = ["BackendResult", "CheckLimits", "SolverBackend"]
+__all__ = ["BackendResult", "CheckLimits", "SolverBackend", "vet_witness"]
 
 
 @dataclass
@@ -84,11 +80,9 @@ class BackendResult:
 
     verdict: str            # "sat" | "unsat" | "unknown"
     reason: str = ""        # canonical unknown reason (see runtime.reasons)
-    model: dict = None      # term-level values (produces_models backends)
     conflicts: int = 0      # conflicts spent (facade charges the budget)
-    assignment: dict = None  # raw DIMACS {var: 0/1} witness, when available
-    #                          (lets the portfolio validate SAT claims
-    #                          against the CNF before trusting them)
+    assignment: dict = None  # raw DIMACS {var: 0/1} witness of a stateless
+    #                          SAT verdict; the facade decodes it
     internals: dict = None  # per-check solver work deltas (propagations,
     #                         restarts, learned, deleted, trail-reuse...);
     #                         the facade charges them to repro.smt.counters
@@ -98,28 +92,27 @@ class BackendResult:
 class SolverBackend:
     """Base class for pluggable decision procedures.
 
-    Subclasses set the capability flags and implement :meth:`check`;
+    Subclasses set ``supports_incremental`` and implement :meth:`check`;
     incremental backends additionally implement the clause-feeding
     sub-interface (:meth:`new_var`, :meth:`add_clause`,
-    :meth:`assignment`, :meth:`reseed`, plus the ``num_vars`` /
+    :meth:`assignment`, ``reseed``, plus the ``num_vars`` /
     ``clauses`` / ``conflicts`` properties).
     """
 
     #: Registry name; also what obs events and Table 1 rows record.
     name = "abstract"
-    supports_assumptions = False
     supports_incremental = False
-    produces_models = True
 
     # -- the decision procedure -----------------------------------------
 
     def check(self, cnf, assumptions=(), limits=None):
         """Decide one query; returns a :class:`BackendResult`.
 
-        ``cnf`` is the DIMACS text of the query for stateless backends,
-        or ``None`` for incremental backends (solve the accumulated
-        clause state).  ``assumptions`` are internal SAT literals, only
-        passed when ``supports_assumptions``.  Faults are reported as
+        ``cnf`` is the query as a :class:`~repro.smt.dimacs.DimacsCnf`
+        for stateless backends, or ``None`` for incremental backends
+        (solve the accumulated clause state).  ``assumptions`` are
+        internal SAT literals, only passed to incremental backends
+        (stateless ones get them as unit clauses).  Faults are reported as
         ``unknown`` verdicts with a canonical reason — the retry
         machinery above the facade decides what to re-ask.
         """
@@ -148,29 +141,28 @@ class SolverBackend:
             f"backend {self.name!r} is not incremental"
         )
 
-    def reseed(self, seed):
-        """Perturb decision order; default no-op for stateless backends
-        (they receive the seed per-call via :class:`CheckLimits`)."""
-
-    @property
-    def num_vars(self):
-        return 0
-
-    @property
-    def clauses(self):
-        return ()
-
-    @property
-    def conflicts(self):
-        return 0
-
     def describe(self):
         """One-line capability summary (docs, ``available_backends``)."""
-        flags = []
-        if self.supports_incremental:
-            flags.append("incremental")
-        if self.supports_assumptions:
-            flags.append("assumptions")
-        if self.produces_models:
-            flags.append("models")
-        return f"{self.name} ({', '.join(flags) or 'stateless'})"
+        kind = "incremental" if self.supports_incremental else "stateless"
+        return f"{self.name} ({kind})"
+
+
+def vet_witness(cnf, result):
+    """``result``, or the fault it hides when its SAT witness is unusable.
+
+    A stateless SAT claim certifies itself: its assignment must satisfy
+    every clause of ``cnf``.  A missing assignment becomes
+    ``unknown(backend-error)`` and one that falsifies a clause
+    ``unknown(malformed-model)``; the conflicts and internals stay, so
+    the work is still charged.
+    """
+    if result.verdict != "sat":
+        return result
+    if result.assignment is None:
+        reason = "backend-error"
+    elif cnf.satisfied_by(result.assignment):
+        return result
+    else:
+        reason = "malformed-model"
+    return replace(result, verdict="unknown", reason=reason,
+                   assignment=None)

@@ -274,9 +274,7 @@ class IncrementalSubprocessBackend(SolverBackend):
     """One persistent sandboxed child per solver, clauses shipped once."""
 
     name = "incremental-subprocess"
-    supports_assumptions = True
     supports_incremental = True
-    produces_models = False  # raw assignments; the facade decodes
 
     def __init__(self, command=None, mem_limit_mb=None, cpu_limit_s=None,
                  heartbeat_interval=0.25, watchdog_grace=4.0,

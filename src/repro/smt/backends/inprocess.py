@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.runtime.reasons import normalize_reason
 from repro.smt.backends.base import BackendResult, CheckLimits, SolverBackend
+from repro.smt.dimacs import solve_dimacs
 from repro.smt.sat.solver import SatSolver
 
 __all__ = ["InProcessBackend", "OneShotCdclBackend"]
@@ -23,9 +24,7 @@ class InProcessBackend(SolverBackend):
     """The bundled CDCL SAT core, solving in the engine process."""
 
     name = "inprocess"
-    supports_assumptions = True
     supports_incremental = True
-    produces_models = False  # raw assignments; the facade decodes
 
     def __init__(self):
         self._sat = SatSolver()
@@ -98,31 +97,26 @@ class InProcessBackend(SolverBackend):
 
 
 class OneShotCdclBackend(SolverBackend):
-    """The bundled CDCL core as a *stateless* DIMACS-per-check backend.
+    """The bundled CDCL core as a *stateless* backend.
 
     Same decision procedure as :class:`InProcessBackend`, but speaking
-    the stateless protocol: every check replays the full DIMACS export
-    on a fresh ``SatSolver`` and decodes the model itself.  This is the
-    trusted member of a portfolio race — it shares no process, file or
-    clause state with the external members it races, can be cancelled
-    cooperatively at the CDCL checkpoints, and is always available (no
-    binary discovery, no pool).
+    the stateless protocol: every check solves the facade's
+    :class:`~repro.smt.dimacs.DimacsCnf` on a fresh ``SatSolver`` and
+    returns the raw assignment.  This is the trusted member of a
+    portfolio race — it shares no process, file or clause state with the
+    external members it races, can be cancelled cooperatively at the
+    CDCL checkpoints, and is always available (no binary discovery, no
+    pool).
     """
 
     name = "inprocess-oneshot"
-    supports_assumptions = False
-    supports_incremental = False
-    produces_models = True
 
     def check(self, cnf, assumptions=(), limits=None):
-        from repro.smt.dimacs import from_dimacs, solve_dimacs
-
         if limits is None:
             limits = CheckLimits()
-        parsed = from_dimacs(cnf)
         solver = SatSolver()
-        verdict, values, conflicts = solve_dimacs(
-            parsed,
+        verdict, assignment, conflicts = solve_dimacs(
+            cnf,
             max_conflicts=limits.max_conflicts,
             deadline=limits.deadline,
             budget=limits.budget,
@@ -140,6 +134,5 @@ class OneShotCdclBackend(SolverBackend):
         if verdict == "unsat":
             return BackendResult("unsat", conflicts=conflicts,
                                  internals=internals)
-        assignment = solver.model()
-        return BackendResult("sat", model=values, conflicts=conflicts,
+        return BackendResult("sat", conflicts=conflicts,
                              assignment=assignment, internals=internals)

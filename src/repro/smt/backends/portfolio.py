@@ -1,14 +1,17 @@
 """Fault-tolerant portfolio solving: hedged backend racing.
 
 :class:`PortfolioBackend` answers each check by racing a configurable
-set of *member* backends and returning the first trustworthy answer:
+set of *member* backends and returning the first trustworthy answer.
+Every member receives the facade's own CNF (a
+:class:`~repro.smt.dimacs.DimacsCnf`) and answers with a raw assignment;
+nothing here encodes or decodes terms.
 
 **Hedged dispatch.**  The primary member (healthiest, proven-fastest)
 launches immediately; the remaining members launch only after a hedge
-delay — explicit (``hedge_delay=``) or derived from the primary's EWMA
-latency (``hedge_latency_factor`` × EWMA, ``default_hedge_delay`` when
-there is no history yet).  A healthy fast path therefore pays ~zero
-overhead: the hedges usually never start.
+delay — explicit (``hedge_delay=``) or twice the primary's EWMA latency
+(:data:`DEFAULT_HEDGE_DELAY` when there is no history yet).  A healthy
+fast path therefore pays ~zero overhead: the hedges usually never
+start.
 
 **First-answer-wins cancellation.**  Once a winner is in (and, for SAT
 claims, its witness has been validated against the CNF), every other
@@ -31,12 +34,13 @@ one-shot in-process CDCL), records a ``portfolio.disagreement`` obs
 event with full query provenance, and raises
 :class:`~repro.runtime.errors.SoundnessViolation`.  A lying member
 cannot win by default either way: SAT claims are self-certifying (the
-witness is validated against the CNF), and an UNSAT claim — which has
-no cheap certificate — only wins outright when it comes from the
-trusted member or a quorum of two; a sole untrusted UNSAT is confirmed
-by the trusted member first (``confirm_unsat=False`` disables this,
-trading soundness for speed).  ``min_agreement >= 2`` additionally
-requires that many concurring members for *every* verdict.
+witness is checked against the CNF by
+:func:`~repro.smt.backends.base.vet_witness`), and an UNSAT claim —
+which has no cheap certificate — only wins outright when it comes from
+the trusted member or a quorum of two; a sole untrusted UNSAT is
+confirmed by the trusted member first.  ``min_agreement >= 2``
+additionally requires that many concurring members for *every*
+verdict.
 
 Member roster, in priority order: an explicit ``members=`` list
 (backend instances, registered names, or ``cmd:<argv>`` entries that
@@ -64,16 +68,24 @@ from repro.obs import trace as _obs
 from repro.obs.metrics import METRICS as _METRICS
 from repro.runtime.errors import RuntimeFault, SoundnessViolation
 from repro.runtime.reasons import normalize_reason
-from repro.smt.backends.base import BackendResult, CheckLimits, SolverBackend
+from repro.smt.backends.base import (
+    BackendResult,
+    CheckLimits,
+    SolverBackend,
+    vet_witness,
+)
 from repro.smt.backends.health import HealthLedger
 
 __all__ = ["PortfolioBackend", "PORTFOLIO_ENV", "shared_portfolio"]
 
 #: Semicolon-separated member roster (see module docstring).
 PORTFOLIO_ENV = "REPRO_PORTFOLIO"
-#: Optional env overrides for the two knobs CI lanes care about.
-HEDGE_DELAY_ENV = "REPRO_PORTFOLIO_HEDGE_DELAY"
-MIN_AGREEMENT_ENV = "REPRO_PORTFOLIO_MIN_AGREEMENT"
+#: Hedge delay (seconds) before the primary has any latency history.
+DEFAULT_HEDGE_DELAY = 0.05
+#: Otherwise hedges launch after this multiple of the primary's EWMA.
+HEDGE_LATENCY_FACTOR = 2.0
+#: How long a cancelled member thread may take to finish (seconds).
+JOIN_TIMEOUT = 10.0
 
 _DEFINITIVE = ("sat", "unsat")
 
@@ -88,32 +100,12 @@ class _Member:
     trusted: bool = False
 
 
-class _ParsedCnf:
-    """Lazy, once-per-check parse of the query (for model validation)."""
-
-    def __init__(self, text):
-        self._text = text
-        self._lock = threading.Lock()
-        self._parsed = None
-
-    def get(self):
-        with self._lock:
-            if self._parsed is None:
-                from repro.smt.dimacs import from_dimacs
-
-                self._parsed = from_dimacs(self._text)
-            return self._parsed
-
-
 def _resolve_member(entry):
     """Turn one roster entry into a stateless member backend."""
-    from repro.smt.backends.inprocess import (
-        InProcessBackend,
-        OneShotCdclBackend,
-    )
+    from repro.smt.backends.inprocess import OneShotCdclBackend
 
     if isinstance(entry, SolverBackend):
-        if isinstance(entry, InProcessBackend) or entry.supports_incremental:
+        if entry.supports_incremental:
             # Incremental backends cannot be raced (each member needs the
             # full query per call); substitute the one-shot equivalent.
             return OneShotCdclBackend()
@@ -156,17 +148,9 @@ class PortfolioBackend(SolverBackend):
     """Race member backends per check; first validated answer wins."""
 
     name = "portfolio"
-    supports_assumptions = False
-    supports_incremental = False
-    produces_models = True
 
-    def __init__(self, members=None, *, hedge_delay=None,
-                 default_hedge_delay=0.05, hedge_latency_factor=2.0,
-                 min_agreement=1, validate_models=True, confirm_unsat=True,
-                 ledger=None,
-                 quarantine_after=3, loss_quarantine_after=5,
-                 quarantine_base=0.25, quarantine_cap=30.0,
-                 seed=2024, join_timeout=10.0):
+    def __init__(self, members=None, *, hedge_delay=None, min_agreement=1,
+                 ledger=None):
         if members is None:
             env = os.environ.get(PORTFOLIO_ENV, "")
             entries = [e.strip() for e in env.split(";") if e.strip()]
@@ -174,20 +158,8 @@ class PortfolioBackend(SolverBackend):
         if not members:
             raise ValueError("portfolio needs at least one member backend")
         self.hedge_delay = hedge_delay
-        self.default_hedge_delay = default_hedge_delay
-        self.hedge_latency_factor = hedge_latency_factor
         self.min_agreement = max(1, int(min_agreement))
-        self.validate_models = validate_models
-        self.confirm_unsat = confirm_unsat
-        self.seed = seed
-        self.join_timeout = join_timeout
-        self.ledger = ledger if ledger is not None else HealthLedger(
-            quarantine_after=quarantine_after,
-            loss_quarantine_after=loss_quarantine_after,
-            quarantine_base=quarantine_base,
-            quarantine_cap=quarantine_cap,
-            seed=seed,
-        )
+        self.ledger = ledger if ledger is not None else HealthLedger()
         self._members = []
         labels = {}
         for index, entry in enumerate(members):
@@ -247,7 +219,6 @@ class PortfolioBackend(SolverBackend):
             _obs.event("portfolio.degraded", span_parent=race_span.id,
                        trusted=self._trusted.label)
             return self._trusted_check(cnf, limits)
-        parsed = _ParsedCnf(cnf)
         cond = threading.Condition()
         outcomes = {}       # label -> (BackendResult, latency)
         order = []          # delivery order of definitive outcomes
@@ -282,7 +253,7 @@ class PortfolioBackend(SolverBackend):
                     except Exception as exc:  # fault taxonomy + surprises
                         result = BackendResult(
                             "unknown", reason=_fault_reason(exc))
-                    result = self._vet(parsed, result)
+                    result = vet_witness(cnf, result)
                     latency = time.monotonic() - started
                     _obs.event(
                         "portfolio.member", span_parent=parent_id,
@@ -347,18 +318,18 @@ class PortfolioBackend(SolverBackend):
         for event in events.values():
             event.set()
         for thread in threads.values():
-            thread.join(timeout=self.join_timeout)
+            thread.join(timeout=JOIN_TIMEOUT)
         stragglers = [label for label, thread in threads.items()
                       if thread.is_alive()]
         cancel_latency = time.monotonic() - cancel_started
         if still_running:
             _METRICS.inc("portfolio.cancellations", len(still_running))
         return self._settle(
-            cnf, limits, parsed, outcomes, order, launched, stragglers,
+            cnf, limits, outcomes, order, launched, stragglers,
             hedges_fired, cancel_latency, aborted, race_span,
         )
 
-    def _settle(self, cnf, limits, parsed, outcomes, order, launched,
+    def _settle(self, cnf, limits, outcomes, order, launched,
                 stragglers, hedges_fired, cancel_latency, aborted,
                 race_span):
         """Bookkeeping + verdict selection after every thread is joined."""
@@ -497,8 +468,8 @@ class PortfolioBackend(SolverBackend):
             return self.hedge_delay
         record = self.ledger.member(primary.label)
         if record.ewma_latency:
-            return record.ewma_latency * self.hedge_latency_factor
-        return self.default_hedge_delay
+            return record.ewma_latency * HEDGE_LATENCY_FACTOR
+        return DEFAULT_HEDGE_DELAY
 
     def _member_limits(self, member, limits, cancel_event):
         seed = limits.seed
@@ -508,34 +479,13 @@ class PortfolioBackend(SolverBackend):
             seed = seed + 1009 * member.index
         return replace(limits, seed=seed, cancel=cancel_event)
 
-    def _vet(self, parsed, result):
-        """Validate a SAT claim's witness against the CNF.
-
-        A fabricated or corrupted model (a lying solver) becomes a
-        ``malformed-model`` fault instead of a race winner.
-        """
-        if (not self.validate_models or result.verdict != "sat"
-                or result.assignment is None):
-            return result
-        assignment = result.assignment
-        for clause in parsed.get().clauses:
-            for lit in clause:
-                value = assignment.get(abs(lit), 0)
-                if (lit > 0 and value) or (lit < 0 and not value):
-                    break
-            else:
-                return BackendResult("unknown", reason="malformed-model",
-                                     conflicts=result.conflicts)
-        return result
-
     def _agreed(self, verdicts):
         """The winning label once ``min_agreement`` members concur.
 
         An UNSAT claim has no checkable certificate (unlike a SAT
-        witness, which :meth:`_vet` validates), so with
-        ``confirm_unsat`` a sole untrusted UNSAT never wins here — it
-        falls through to the trusted-confirmation path in
-        :meth:`_settle` instead.
+        witness, which :func:`vet_witness` checks), so a sole untrusted
+        UNSAT never wins here — it falls through to the
+        trusted-confirmation path in :meth:`_settle` instead.
         """
         if self._conflicting(verdicts):
             return None
@@ -548,8 +498,7 @@ class PortfolioBackend(SolverBackend):
                 continue
             supporters = [label for label in verdicts
                           if verdicts[label] == verdict]
-            if (verdict == "unsat" and self.confirm_unsat
-                    and count < max(quorum, 2)
+            if (verdict == "unsat" and count < max(quorum, 2)
                     and self._trusted.label not in supporters):
                 continue
             return supporters[0]  # first delivered wins
@@ -586,12 +535,13 @@ class PortfolioBackend(SolverBackend):
             if trusted_verdict not in _DEFINITIVE \
                     or verdicts[label] != trusted_verdict:
                 self.ledger.record_fault(label, "disagreement")
-        digest = hashlib.sha256(cnf.encode()).hexdigest()[:16]
+        text = cnf.text()
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
         _obs.event(
             "portfolio.disagreement", span_parent=race_span.id,
             verdicts=verdicts, trusted=self._trusted.label,
             trusted_verdict=trusted_verdict, query_sha256=digest,
-            query_chars=len(cnf),
+            query_chars=len(text),
             outcomes={
                 label: {"verdict": result.verdict, "reason": result.reason,
                         "latency": round(latency, 6)}
@@ -627,27 +577,17 @@ _SHARED = {}
 
 
 def shared_portfolio():
-    """The process-wide portfolio instance for the current env config.
+    """The process-wide portfolio instance for the current roster.
 
     The registry factory is called once per ``Solver`` construction;
     handing every solver the same instance is what makes the health
     ledger persist across CEGIS iterations and engine phases.  Keyed by
-    the env knobs so tests that monkeypatch ``$REPRO_PORTFOLIO`` get a
-    fresh portfolio rather than a stale roster.
+    ``$REPRO_PORTFOLIO`` so tests that monkeypatch it get a fresh
+    portfolio rather than a stale roster.
     """
-    key = (
-        os.environ.get(PORTFOLIO_ENV, ""),
-        os.environ.get(HEDGE_DELAY_ENV, ""),
-        os.environ.get(MIN_AGREEMENT_ENV, ""),
-    )
+    key = os.environ.get(PORTFOLIO_ENV, "")
     with _SHARED_LOCK:
         backend = _SHARED.get(key)
         if backend is None:
-            kwargs = {}
-            if key[1]:
-                kwargs["hedge_delay"] = float(key[1])
-            if key[2]:
-                kwargs["min_agreement"] = int(key[2])
-            backend = PortfolioBackend(**kwargs)
-            _SHARED[key] = backend
+            backend = _SHARED[key] = PortfolioBackend()
         return backend

@@ -52,7 +52,7 @@ def register_backend(name, factory, cls=None, replace=False):
 
     ``factory`` is called with no arguments and must return a
     :class:`SolverBackend`.  ``cls`` (optional) lets
-    :func:`backend_capabilities` report capability flags without
+    :func:`backend_capabilities` report the capability flag without
     instantiating — needed for backends whose construction probes the
     environment (e.g. subprocess-dimacs scanning PATH).
     """
@@ -67,14 +67,13 @@ def available_backends():
 
 
 def backend_capabilities():
-    """``{name: {capability flag: bool}}`` for every registered backend."""
+    """``{name: {"supports_incremental": bool}}`` for every registered
+    backend."""
     table = {}
     for name, (_factory, cls) in _REGISTRY.items():
         flags = cls if cls is not None else SolverBackend
         table[name] = {
-            "supports_assumptions": bool(flags.supports_assumptions),
             "supports_incremental": bool(flags.supports_incremental),
-            "produces_models": bool(flags.produces_models),
         }
     return table
 

@@ -1,14 +1,14 @@
 """The subprocess-dimacs backend: shell out to any installed SAT solver.
 
-FormalRTL-style scaling in one file: the facade exports the query as
-DIMACS, this backend writes it to a temp file, execs an external solver
-binary, and parses the standard SAT-competition output format back —
-``s SATISFIABLE`` / ``s UNSATISFIABLE`` / ``s UNKNOWN`` verdict lines and
-``v`` model lines — decoding the assignment into term-level values
-through the very ``c var`` header :func:`repro.smt.dimacs.to_dimacs`
-emitted.  Dropping in kissat (or cryptominisat, or a research solver)
-therefore needs zero engine changes: install the binary, pass
-``backend="subprocess-dimacs"``.
+FormalRTL-style scaling in one file: this backend writes the facade's
+own CNF (:meth:`repro.smt.dimacs.DimacsCnf.text`) to a temp file, execs
+an external solver binary, and parses the standard SAT-competition
+output format back — ``s SATISFIABLE`` / ``s UNSATISFIABLE`` /
+``s UNKNOWN`` verdict lines and ``v`` model lines.  The raw assignment
+goes back to the facade, which checks it against the CNF and decodes it
+into term-level values.  Dropping in kissat (or cryptominisat, or a
+research solver) therefore needs zero engine changes: install the
+binary, pass ``backend="subprocess-dimacs"``.
 
 Solver discovery, in priority order:
 
@@ -23,9 +23,11 @@ contains ``minisat`` get that calling convention automatically.
 
 Failure taxonomy (all canonical, see ``repro.runtime.reasons``):
 a solver that exceeds the deadline is killed and reported as
-``unknown(deadline)``; garbage output, a crash, or a vanished binary is
-``unknown(backend-error)`` (retryable — a reseeded retry may dodge a
-flaky solver); no binary found at construction raises
+``unknown(deadline)``; garbage output, a crash, a vanished binary, or a
+SAT verdict with no ``v`` line is ``unknown(backend-error)`` (retryable —
+a reseeded retry may dodge a flaky solver); a witness that falsifies a
+clause is ``unknown(malformed-model)``; no binary found at construction
+raises
 :class:`BackendUnavailable` immediately rather than at the first check.
 """
 
@@ -39,7 +41,6 @@ import subprocess
 import tempfile
 
 from repro.smt.backends.base import BackendResult, CheckLimits, SolverBackend
-from repro.smt.dimacs import from_dimacs
 
 __all__ = ["SubprocessDimacsBackend", "BackendUnavailable", "KNOWN_SOLVERS"]
 
@@ -84,9 +85,6 @@ class SubprocessDimacsBackend(SolverBackend):
     """One external-solver invocation per check, DIMACS in, s/v lines out."""
 
     name = "subprocess-dimacs"
-    supports_assumptions = False
-    supports_incremental = False
-    produces_models = True
 
     def __init__(self, command=None):
         self.command = _discover_command(command)
@@ -110,7 +108,7 @@ class SubprocessDimacsBackend(SolverBackend):
         proc = None
         try:
             with open(cnf_path, "w") as handle:
-                handle.write(cnf)
+                handle.write(cnf.text())
             argv = list(self.command) + [cnf_path]
             if self._minisat_style:
                 argv.append(out_path)
@@ -130,7 +128,7 @@ class SubprocessDimacsBackend(SolverBackend):
             if self._minisat_style and os.path.exists(out_path):
                 with open(out_path) as handle:
                     output = handle.read() + "\n" + output
-            return self._parse(cnf, output, proc.returncode)
+            return self._parse(output, proc.returncode)
         finally:
             # Kill and *reap* the child before removing its workdir: a
             # solver crashed or hard-killed mid-race could otherwise
@@ -176,15 +174,19 @@ class SubprocessDimacsBackend(SolverBackend):
 
     # ------------------------------------------------------------------
 
-    def _parse(self, cnf, output, returncode):
+    def _parse(self, output, returncode):
         """Decode solver output into a :class:`BackendResult`.
 
         Tolerates both the competition format (``s``/``v`` lines) and the
         MiniSat result-file format (``SAT``/``UNSAT`` headers, bare model
         line); exit codes 10/20 break ties when no verdict line exists.
+        A SAT result carries ``assignment=None`` only when no model line
+        appeared at all; ``v 0`` is the empty witness of a CNF with no
+        variables.
         """
         verdict = None
         model_lits = []
+        saw_model = False
         conflicts = 0
         for raw in output.splitlines():
             line = raw.strip()
@@ -206,9 +208,11 @@ class SubprocessDimacsBackend(SolverBackend):
             elif upper in ("UNKNOWN", "INDETERMINATE"):
                 verdict = "unknown"
             elif line.startswith(("v", "V")) and not line[1:2].isalpha():
+                saw_model = True
                 model_lits.extend(_ints(line[1:]))
             elif line[0] in "-0123456789" and verdict == "sat":
                 # MiniSat result files carry a bare model line.
+                saw_model = True
                 model_lits.extend(_ints(line))
             else:
                 match = _CONFLICTS_RE.match(line)
@@ -227,15 +231,11 @@ class SubprocessDimacsBackend(SolverBackend):
                                  conflicts=conflicts)
         if verdict == "unsat":
             return BackendResult("unsat", conflicts=conflicts)
-        assignment = {abs(lit): (0 if lit < 0 else 1)
-                      for lit in model_lits if lit != 0}
-        if not assignment:
-            # "SAT" with no witness: unusable for model extraction, and
-            # trusting it would let a buggy solver corrupt control logic.
-            return BackendResult("unknown", reason="backend-error",
-                                 conflicts=conflicts)
-        values = from_dimacs(cnf).model_values(assignment)
-        return BackendResult("sat", model=values, conflicts=conflicts,
+        assignment = None
+        if saw_model:
+            assignment = {abs(lit): (0 if lit < 0 else 1)
+                          for lit in model_lits if lit != 0}
+        return BackendResult("sat", conflicts=conflicts,
                              assignment=assignment)
 
 

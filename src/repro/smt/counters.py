@@ -39,8 +39,8 @@ class EncodeCounters:
     ============================  ============================================
     ``solver_instances``          ``repro.smt.solver.Solver`` constructions
     ``aig_nodes``                 AIG nodes allocated (inputs + AND gates)
-    ``tseitin_clauses``           CNF clauses emitted (in-process Tseitin
-                                  encoding and DIMACS exports alike)
+    ``tseitin_clauses``           CNF clauses the facade's Tseitin encoder
+                                  emitted (whichever backend received them)
     ``trace_cache_hits``          shared-trace entries served from cache
     ``trace_cache_misses``        shared-trace entries built from scratch
     ``sat_propagations``          unit propagations inside CDCL checks

@@ -9,13 +9,15 @@ only the cones it actually asserts, so a shared AIG never leaks clauses
 between instances.
 
 The *decision procedure* is pluggable (see ``repro.smt.backends``): the
-facade owns encoding and model decoding and delegates each check to a
+facade is the only code that turns terms into CNF and SAT assignments
+back into term-level models, and it delegates each check to a
 :class:`~repro.smt.backends.base.SolverBackend`.  Incremental backends
 (the default ``"inprocess"`` CDCL core) are fed clauses as assertions
-arrive; stateless backends (external ``"subprocess-dimacs"`` solvers,
-the ``"portfolio"`` race) receive a full DIMACS export per check, with
-assumption terms re-encoded as unit clauses so per-call scoping survives
-the loss of native assumption support.
+arrive.  For stateless backends (external ``"subprocess-dimacs"``
+solvers, the ``"portfolio"`` race) the same clauses go into a clause
+log, and each check ships the log plus one unit clause per assumption
+as a :class:`~repro.smt.dimacs.DimacsCnf`; the witness that comes back
+is checked against that CNF before it is decoded.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ from repro.obs.metrics import METRICS as _METRICS
 from repro.runtime import faults as _faults
 from repro.runtime.reasons import normalize_reason
 from repro.smt.aig import FALSE_LIT, TRUE_LIT
-from repro.smt.backends.base import CheckLimits
-from repro.smt.backends.inprocess import InProcessBackend
+from repro.smt.backends.base import CheckLimits, vet_witness
 from repro.smt.backends.registry import resolve_backend
 from repro.smt.bitblast import BitBlaster
 from repro.smt.counters import COUNTERS
-from repro.smt.dimacs import to_dimacs
+from repro.smt.dimacs import DimacsCnf
 from repro.smt import terms as T
 
 __all__ = [
@@ -163,6 +164,47 @@ class Model:
         return f"Model({inner})"
 
 
+def _dimacs_lit(lit):
+    """Internal literal ``2v`` / ``2v+1`` -> DIMACS ``v`` / ``-v``."""
+    return -(lit >> 1) if lit & 1 else lit >> 1
+
+
+class _ClauseLog:
+    """The encoding target behind a stateless backend.
+
+    Speaks the incremental core's clause-feeding interface, so
+    ``_encode_cone`` cannot tell the two apart, but only records: each
+    check ships :meth:`cnf` to the backend.  It also holds what the
+    backend reports back for this solver — conflicts spent, the seed for
+    the next check, and the last vetted witness.
+    """
+
+    def __init__(self):
+        self.num_vars = 0
+        self.clauses = []    # DIMACS literals
+        self.conflicts = 0
+        self.seed = None
+        self.witness = {}
+
+    def new_var(self):
+        self.num_vars += 1
+        return self.num_vars
+
+    def add_clause(self, lits):
+        self.clauses.append([_dimacs_lit(lit) for lit in lits])
+
+    def reseed(self, seed):
+        self.seed = seed
+
+    def assignment(self):
+        return self.witness
+
+    def cnf(self, assumptions):
+        """The logged clauses plus one unit clause per assumption."""
+        units = [[_dimacs_lit(lit)] for lit in assumptions]
+        return DimacsCnf(self.num_vars, self.clauses + units)
+
+
 class Solver:
     """An incremental QF_BV solver over the term language.
 
@@ -181,9 +223,8 @@ class Solver:
     of the engine; faults surface as classified ``unknown`` verdicts
     (see ``repro.smt.backends.incremental_subprocess``).
 
-    Stateless backends never replace the in-process core: the facade
-    keeps encoding every cone into it, so encode counters stay identical
-    across backends.
+    Every backend is fed the same cones by the same encoder, so encode
+    counters are identical across backends.
     """
 
     def __init__(self, strict_models=False, blaster=None, backend=None):
@@ -192,24 +233,17 @@ class Solver:
         # SAT variables for) the AIG regions its own assertions reach.
         self._blaster = blaster if blaster is not None else BitBlaster()
         self._backend = resolve_backend(backend)
-        # The encoding target.  An incremental backend *is* the core; a
-        # stateless backend gets a private in-process core alongside it
-        # (encode counters stay identical across backends).
+        # The encoding target: an incremental backend *is* the core; a
+        # stateless backend is served from a clause log.
         if self._backend.supports_incremental:
             self._core = self._backend
         else:
-            self._core = InProcessBackend()
+            self._core = _ClauseLog()
         self._node_to_satvar = {}
-        self._asserted = []
         self._trivially_false = False
         self.strict_models = strict_models
-        self._remote_model = None     # model values from a stateless backend
-        self._remote_conflicts = 0    # conflicts spent out-of-process for us
-        self._pending_seed = None     # reseed to apply on the next check
-        self._last_backend = self._core.name  # who served the last check
         self._last_internals = {}     # solver work deltas of the last check
-        self.stats = {"asserts": 0, "checks": 0, "clauses": 0,
-                      "worker_checks": 0}
+        self.stats = {"asserts": 0, "checks": 0, "clauses": 0}
         COUNTERS.solver_instances += 1
 
     @property
@@ -226,7 +260,6 @@ class Solver:
         if term.width != 1:
             raise ValueError(f"assertions must have width 1, got {term.width}")
         self.stats["asserts"] += 1
-        self._asserted.append(term)
         lit = self._blaster.blast_bit(term)
         if lit == TRUE_LIT:
             return
@@ -256,17 +289,16 @@ class Solver:
         verdict means "unsatisfiable under these assumptions" and the
         solver (including its learned clauses) stays usable for the next
         check.  This is the encode-once/solve-many primitive the
-        incremental CEGIS verify mode is built on.  Backends without
-        native assumption support degrade gracefully: the assumptions
-        ride along in the per-check DIMACS export as unit clauses
-        (stateless backends re-export every check, so per-call scoping is
-        automatic).
+        incremental CEGIS verify mode is built on.  Stateless backends
+        get the assumptions as unit clauses on that check's CNF only.
 
         An UNKNOWN verdict is an :class:`Unknown` instance whose
         ``reason`` names the exhausted cap (``"deadline"``,
         ``"conflicts"``, ``"memory"``), a backend failure
         (``"backend-error"``, a classified child death such as
-        ``"worker-crashed"``), or ``"injected"`` under fault injection.
+        ``"worker-crashed"``, a stateless SAT whose witness falsifies
+        the CNF as ``"malformed-model"``), or ``"injected"`` under fault
+        injection.
 
         When a :class:`repro.obs.Tracer` is installed, every check —
         including assumption-based incremental checks and out-of-process
@@ -317,7 +349,7 @@ class Solver:
                 asserts=self.stats["asserts"],
                 assumptions=len(assumptions)
                 if hasattr(assumptions, "__len__") else -1,
-                backend=self._last_backend,
+                backend=self._backend.name,
                 # Solver internals, mirroring what _check charged to
                 # repro.smt.counters for this check — the obs report
                 # reconciles the two exactly.
@@ -334,8 +366,6 @@ class Solver:
     def _check(self, max_conflicts=None, timeout=None, budget=None,
                assumptions=()):
         self.stats["checks"] += 1
-        self._remote_model = None
-        self._last_backend = self._core.name
         self._last_internals = {}
         injector = _faults.active_injector()
         if injector is not None:
@@ -344,9 +374,8 @@ class Solver:
                 return Unknown(normalize_reason(injected_reason))
         if self._trivially_false:
             return UNSAT
-        assumption_terms = list(assumptions)
         sat_assumptions = []
-        for term in assumption_terms:
+        for term in assumptions:
             if term.width != 1:
                 raise ValueError(
                     f"assumptions must have width 1, got {term.width}"
@@ -376,21 +405,14 @@ class Solver:
                              budget=budget)
         backend = self._backend
         if backend.supports_incremental:
-            self._last_backend = backend.name
             result = backend.check(None, sat_assumptions, limits)
         else:
-            # Stateless dispatch: re-export the full assertion set per
-            # check (any backend instance — worker respawn, fresh solver
-            # process — can serve any query), with assumption terms as
-            # unit clauses so per-call scoping survives.
-            limits.seed, self._pending_seed = self._pending_seed, None
-            dimacs = to_dimacs(self._asserted + assumption_terms)
-            self.stats["worker_checks"] += 1
-            self._last_backend = backend.name
-            result = backend.check(dimacs, (), limits)
-            self._remote_conflicts += result.conflicts
-            if result.verdict == "sat" and result.model is not None:
-                self._remote_model = dict(result.model)
+            log = self._core
+            limits.seed, log.seed = log.seed, None
+            cnf = log.cnf(sat_assumptions)
+            result = vet_witness(cnf, backend.check(cnf, (), limits))
+            log.conflicts += result.conflicts
+            log.witness = result.assignment or {}
         if budget is not None:
             budget.charge_conflicts(result.conflicts)
         if result.internals:
@@ -414,17 +436,14 @@ class Solver:
 
     def model(self):
         """Extract the model after a SAT check."""
-        if self._remote_model is not None:
-            values = dict(self._remote_model)
-        else:
-            assignment = self._core.assignment()
-            values = {}
-            for name, bits in self._blaster.var_bits.items():
-                value = 0
-                for i, lit in enumerate(bits):
-                    bit = self._aig_lit_value(lit, assignment)
-                    value |= bit << i
-                values[name] = value
+        assignment = self._core.assignment()
+        values = {}
+        for name, bits in self._blaster.var_bits.items():
+            value = 0
+            for i, lit in enumerate(bits):
+                bit = self._aig_lit_value(lit, assignment)
+                value |= bit << i
+            values[name] = value
         injector = _faults.active_injector()
         if injector is not None:
             values = injector.on_model(values)
@@ -434,19 +453,18 @@ class Solver:
     def conflicts(self):
         """Total SAT conflicts this solver has spent (monotonic).
 
-        Includes conflicts spent on our behalf by out-of-process backends
+        Includes conflicts spent on our behalf by stateless backends
         (external solvers, portfolio members), so CEGIS statistics and
         budget accounting are backend-agnostic.
         """
-        return self._core.conflicts + self._remote_conflicts
+        return self._core.conflicts
 
     def reseed(self, seed):
         """Deterministically perturb the decision order (retry escalation).
 
-        For stateless backends the seed also rides along on the next
-        check request, where it perturbs the remote solver the same way.
+        For stateless backends the seed rides along on the next check
+        request, where it perturbs the remote solver the same way.
         """
-        self._pending_seed = seed
         self._core.reseed(seed)
 
     # ------------------------------------------------------------------

@@ -248,10 +248,10 @@ class IncrementalContext:
     across a sequential per-instruction loop.
 
     ``config`` is a :class:`repro.smt.backends.SolverConfig` selecting
-    the decision procedure; candidate checks on a backend without native
-    assumption support degrade to per-check DIMACS re-export (the facade
-    handles it), so the context stays correct — just without the
-    learned-clause reuse that motivates it.
+    the decision procedure; on a stateless backend each candidate check
+    ships the verifier's clause log with the assumptions as unit clauses
+    (the facade handles it), so the context stays correct — just without
+    the learned-clause reuse that motivates it.
     """
 
     def __init__(self, config=None):

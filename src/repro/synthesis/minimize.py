@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.smt import terms as T
+from repro.smt.backends import resolve_solver_config
 from repro.smt.solver import Solver, UNSAT
 from repro.synthesis.incremental import (
     IncrementalContext,
@@ -58,7 +59,8 @@ class MinimizationReport:
         return "\n".join(lines)
 
 
-def _verifies(formula, trace, hole_values, timeout, probe_hole, ctx=None):
+def _verifies(formula, trace, hole_values, timeout, probe_hole, config,
+              ctx=None):
     if ctx is not None:
         # Scan path: fold every hole except the one being merged into
         # the formula's persistent verifier (staged once per
@@ -79,13 +81,13 @@ def _verifies(formula, trace, hole_values, timeout, probe_hole, ctx=None):
         )
         for name, value in hole_values.items()
     }
-    solver = Solver()
+    solver = Solver(**config.solver_kwargs())
     solver.add(T.bv_not(T.substitute(formula, substitution)))
     return solver.check(timeout=timeout) is UNSAT
 
 
 def minimize_solutions(problem, solutions, timeout_per_check=20.0,
-                       max_targets=3, pipeline=None):
+                       max_targets=3, config=None):
     """Return (new solutions, report) with don't-care values merged.
 
     ``solutions`` come from per-instruction synthesis (or the monolithic
@@ -93,20 +95,23 @@ def minimize_solutions(problem, solutions, timeout_per_check=20.0,
     candidate merge values are tried per hole (most popular first) — the
     don't-care collapse almost always lands on the first.
 
-    ``pipeline="incremental"`` (the default) serves every formula from
-    the problem's shared trace cache — free when synthesis already ran
-    incrementally — and runs all merge probes as assumption checks
-    against per-formula persistent verifiers; ``"fresh"`` re-derives each formula
-    under a ``min{index}!`` prefix and builds a solver per probe.
+    ``config`` is a :class:`repro.smt.backends.SolverConfig`: its backend
+    serves every probe, and ``config.pipeline="incremental"`` (the
+    default) serves every formula from the problem's shared trace cache —
+    free when synthesis already ran incrementally — and runs all merge
+    probes as assumption checks against per-formula persistent verifiers;
+    ``"fresh"`` re-derives each formula under a ``min{index}!`` prefix and
+    builds a solver per probe.
     """
     started = time.monotonic()
-    pipeline = resolve_pipeline(pipeline)
+    config = resolve_solver_config(config)
+    pipeline = resolve_pipeline(config.pipeline)
     report = MinimizationReport()
     instructions = {i.name: i for i in problem.spec.instructions}
     formulas = {}
     ctx = None
     if pipeline == "incremental":
-        ctx = IncrementalContext()
+        ctx = IncrementalContext(config)
         entry = problem.trace_cache().entry(problem)
         for solution in solutions:
             formulas[solution.instruction_name] = (
@@ -139,7 +144,7 @@ def minimize_solutions(problem, solutions, timeout_per_check=20.0,
                 formula, trace = formulas[name]
                 report.checks += 1
                 if _verifies(formula, trace, candidate,
-                             timeout_per_check, hole, ctx=ctx):
+                             timeout_per_check, hole, config, ctx=ctx):
                     current[name] = candidate
                     report.merged += 1
         report.distinct_after[hole] = len(

@@ -6,7 +6,9 @@ child, an external DIMACS solver and a portfolio race must all return
 the same SAT/UNSAT verdicts —
 and, because CEGIS is deterministic given those verdicts, bit-identical
 synthesized control logic — on the same designs.  Any divergence means a
-backend is mistranslating queries or models.
+backend is mistranslating queries or models.  One encoder (the facade's)
+serves every backend, so the same query also charges the same encode
+counters everywhere.
 
 The external backend runs against the bundled fake solver (which really
 solves, via the repo's own CDCL), so this suite is hermetic: no kissat
@@ -23,6 +25,7 @@ from repro.smt import Solver
 from repro.smt import terms as T
 from repro.smt.backends import SolverConfig
 from repro.smt.backends.subprocess_dimacs import SubprocessDimacsBackend
+from repro.smt.counters import COUNTERS
 from repro.smt.solver import SAT, UNSAT
 from repro.synthesis import synthesize, verify_design
 
@@ -155,3 +158,41 @@ def test_assumption_verdicts_agree(backend_name):
         assumptions=[T.bv_eq(x, T.bv_const(12, 8))]) is UNSAT
     # The base formula is untouched by failed assumptions.
     assert solver.check() is SAT
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_query_folding_to_true_is_sat(backend_name):
+    """A CNF with no clauses is satisfiable; its witness is empty."""
+    solver = _solver_for(backend_name)
+    x = T.bv_var("x", 8)
+    solver.add(T.bv_eq(x, x))
+    assert solver.check() is SAT
+
+
+def _encode_counters(backend_name):
+    """Encode counters charged by one fixed query: two assertions, then
+    a plain check and two assumption checks."""
+    fields = ("aig_nodes", "tseitin_clauses", "solver_instances")
+    before = {name: getattr(COUNTERS, name) for name in fields}
+    solver = _solver_for(backend_name)
+    x = T.bv_var("x", 8)
+    y = T.bv_var("y", 8)
+    solver.add(T.bv_ult(x, T.bv_const(100, 8)))
+    solver.add(T.bv_eq(T.bv_add(x, y), T.bv_const(42, 8)))
+    assert solver.check() is SAT
+    assert solver.check(assumptions=[T.bv_eq(y, T.bv_const(3, 8))]) is SAT
+    assert solver.check(
+        assumptions=[T.bv_eq(x, T.bv_const(200, 8))]) is UNSAT
+    if backend_name == "incremental-subprocess":
+        solver.backend.close()
+    return {name: getattr(COUNTERS, name) - before[name]
+            for name in fields}
+
+
+def test_encode_counters_are_identical_across_backends():
+    """One encoder serves every backend, so the same query charges the
+    same AIG nodes, Tseitin clauses and solver instances everywhere."""
+    reference = _encode_counters("inprocess")
+    assert reference["tseitin_clauses"] > 0
+    for name in BACKENDS[1:]:
+        assert _encode_counters(name) == reference, name

@@ -73,26 +73,11 @@ def test_builtin_backends_are_registered():
 
 
 def test_capability_table_matches_the_docs():
-    table = backend_capabilities()
-    assert table["inprocess"] == {
-        "supports_assumptions": True,
-        "supports_incremental": True,
-        "produces_models": False,
-    }
-    assert table["subprocess-dimacs"] == {
-        "supports_assumptions": False,
-        "supports_incremental": False,
-        "produces_models": True,
-    }
-    assert table["incremental-subprocess"] == {
-        "supports_assumptions": True,
-        "supports_incremental": True,
-        "produces_models": False,
-    }
-    assert table["portfolio"] == {
-        "supports_assumptions": False,
-        "supports_incremental": False,
-        "produces_models": True,
+    assert backend_capabilities() == {
+        "inprocess": {"supports_incremental": True},
+        "subprocess-dimacs": {"supports_incremental": False},
+        "incremental-subprocess": {"supports_incremental": True},
+        "portfolio": {"supports_incremental": False},
     }
 
 
@@ -126,11 +111,11 @@ def test_custom_backend_registers_and_serves_checks():
 
     class EchoCdclBackend(SolverBackend):
         name = "echo-cdcl"
-        produces_models = True
 
         def check(self, cnf, assumptions=(), limits=None):
-            verdict, values, conflicts = solve_dimacs(cnf)
-            return BackendResult(verdict, model=values, conflicts=conflicts)
+            verdict, assignment, conflicts = solve_dimacs(cnf)
+            return BackendResult(verdict, conflicts=conflicts,
+                                 assignment=assignment)
 
     register_backend("echo-cdcl", EchoCdclBackend, cls=EchoCdclBackend)
     try:
@@ -249,11 +234,40 @@ def test_subprocess_kill_reaps_child_and_leaves_no_temp_files(
     assert leftovers == []
 
 
-def test_subprocess_checks_count_as_worker_checks():
-    solver = Solver(backend=SubprocessDimacsBackend(command=_fake_command()))
-    _sat_query(solver)
-    solver.check()
-    assert solver.stats["worker_checks"] == 1
+def test_lying_subprocess_sat_is_a_malformed_model():
+    """``--flip`` answers SAT to an UNSAT query with a fabricated
+    witness; the facade checks it against the CNF and refuses it."""
+    solver = Solver(
+        backend=SubprocessDimacsBackend(command=_fake_command("--flip")))
+    x = _sat_query(solver)
+    solver.add(T.bv_eq(x, T.bv_const(3, 8)))
+    verdict = solver.check()
+    assert verdict.name == "unknown"
+    assert verdict.reason == "malformed-model"
+
+
+# ---------------------------------------------------------------------------
+# Witness checks on every stateless SAT
+# ---------------------------------------------------------------------------
+
+
+class BareSatBackend(SolverBackend):
+    """A stateless backend that answers a bare "sat", with no witness."""
+
+    name = "bare-sat"
+
+    def check(self, cnf, assumptions=(), limits=None):
+        return BackendResult("sat", conflicts=7)
+
+
+def test_stateless_sat_without_a_witness_is_a_backend_error():
+    solver = Solver(backend=BareSatBackend())
+    x = _sat_query(solver)
+    solver.add(T.bv_eq(x, T.bv_const(3, 8)))
+    verdict = solver.check()
+    assert verdict.name == "unknown"
+    assert verdict.reason == "backend-error"
+    assert solver.conflicts == 7  # the work is still charged
 
 
 # ---------------------------------------------------------------------------

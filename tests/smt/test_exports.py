@@ -1,12 +1,14 @@
-"""Tests for the SMT-LIB and DIMACS exporters."""
+"""Tests for the SMT-LIB exporter and the facade's DIMACS export."""
 
+import itertools
 import re
 
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import terms as T
-from repro.smt.dimacs import to_dimacs
+from repro.smt.backends import BackendResult, SolverBackend
 from repro.smt.smtlib import query_to_smtlib, to_smtlib
+from repro.smt.solver import SAT, UNSAT, Solver
 
 
 def test_smtlib_renders_basic_ops():
@@ -66,50 +68,37 @@ def test_smtlib_export_covers_all_ops(a, b):
 
 
 # ---------------------------------------------------------------------------
-# DIMACS
+# DIMACS: the CNF the facade ships to stateless backends
 # ---------------------------------------------------------------------------
 
 
-def _parse_dimacs(text):
-    clauses = []
-    num_vars = 0
-    for line in text.splitlines():
-        if line.startswith("c"):
-            continue
-        if line.startswith("p cnf"):
-            num_vars = int(line.split()[2])
-            continue
-        lits = [int(tok) for tok in line.split()[:-1]]
-        clauses.append(lits)
-    return num_vars, clauses
+class CaptureBackend(SolverBackend):
+    """Records the exported CNF; never answers."""
+
+    name = "capture"
+    cnf = None
+
+    def check(self, cnf, assumptions=(), limits=None):
+        self.cnf = cnf
+        return BackendResult("unknown", reason="backend-error")
 
 
-def _brute_force_sat(num_vars, clauses):
-    import itertools
+def _exported(assertions):
+    backend = CaptureBackend()
+    solver = Solver(backend=backend)
+    solver.add_all(assertions)
+    verdict = solver.check()
+    return verdict, backend.cnf
 
-    for bits in itertools.product([0, 1], repeat=num_vars):
-        assignment = dict(enumerate(bits, start=1))
-        if all(
-            any(
-                (assignment[abs(l)] == 1) == (l > 0) for l in clause
-            )
-            for clause in clauses
-        ):
+
+def _brute_force_sat(cnf):
+    for bits in itertools.product([0, 1], repeat=cnf.num_vars):
+        if cnf.satisfied_by(dict(enumerate(bits, start=1))):
             return True
     return False
 
 
-def test_dimacs_header_and_var_map():
-    x = T.bv_var("mv", 3)
-    text = to_dimacs([T.bv_eq(x, T.bv_const(5, 3))])
-    assert re.search(r"p cnf \d+ \d+", text)
-    assert "c var mv bits" in text
-    assert text.strip().endswith("0")
-
-
 def test_dimacs_sat_agrees_with_solver():
-    from repro.smt.solver import Solver, SAT, UNSAT
-
     x = T.bv_var("dv", 4)
     cases = [
         ([T.bv_eq(x, T.bv_const(9, 4))], True),
@@ -120,12 +109,15 @@ def test_dimacs_sat_agrees_with_solver():
         solver = Solver()
         solver.add_all(assertions)
         assert (solver.check() is SAT) == expected
-        num_vars, clauses = _parse_dimacs(to_dimacs(assertions))
-        if num_vars <= 16:
-            assert _brute_force_sat(num_vars, clauses) == expected
+        _, cnf = _exported(assertions)
+        assert re.fullmatch(r"p cnf \d+ \d+", cnf.text().splitlines()[0])
+        assert _brute_force_sat(cnf) == expected
 
 
 def test_dimacs_trivial_assertions():
-    assert "p cnf" in to_dimacs([T.TRUE])
-    num_vars, clauses = _parse_dimacs(to_dimacs([T.FALSE]))
-    assert not _brute_force_sat(num_vars, clauses)
+    # TRUE encodes to the empty CNF; FALSE never reaches the backend.
+    _, cnf = _exported([T.TRUE])
+    assert cnf.text() == "p cnf 0 0\n"
+    verdict, cnf = _exported([T.FALSE])
+    assert verdict is UNSAT
+    assert cnf is None

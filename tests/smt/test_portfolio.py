@@ -23,17 +23,18 @@ from repro.runtime import SoundnessViolation
 from repro.smt import Solver
 from repro.smt import terms as T
 from repro.smt.backends import (
+    BackendResult,
     CheckLimits,
     HealthLedger,
     OneShotCdclBackend,
     PortfolioBackend,
+    SolverBackend,
     available_backends,
     backend_capabilities,
     shared_portfolio,
 )
 from repro.smt.backends.portfolio import PORTFOLIO_ENV
 from repro.smt.backends.subprocess_dimacs import SubprocessDimacsBackend
-from repro.smt.dimacs import to_dimacs
 from repro.smt.solver import SAT, UNSAT
 
 FAKE_SOLVER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -48,17 +49,36 @@ def _fake_backend(*flags):
     return SubprocessDimacsBackend(command=_fake_command(*flags))
 
 
+class _Capture(SolverBackend):
+    """A stateless backend that keeps the CNF the facade sends it."""
+
+    name = "capture"
+
+    def check(self, cnf, assumptions=(), limits=None):
+        self.cnf = cnf
+        return BackendResult("unknown", reason="backend-error")
+
+
+def _cnf(*assertions):
+    """The CNF the facade exports for ``assertions``."""
+    capture = _Capture()
+    solver = Solver(backend=capture)
+    solver.add_all(assertions)
+    solver.check()
+    return capture.cnf
+
+
 def _sat_dimacs():
     x = T.bv_var("x", 4)
-    return to_dimacs([T.bv_eq(x, T.bv_const(9, 4))])
+    return _cnf(T.bv_eq(x, T.bv_const(9, 4)))
 
 
 def _unsat_dimacs():
     x = T.bv_var("x", 4)
-    return to_dimacs([
+    return _cnf(
         T.bv_ult(x, T.bv_const(3, 4)),
         T.bv_ugt(x, T.bv_const(12, 4)),
-    ])
+    )
 
 
 def _hard_dimacs(bits=14, composite=9409 * 89):
@@ -66,11 +86,11 @@ def _hard_dimacs(bits=14, composite=9409 * 89):
     q = T.bv_var("cq", bits)
     product = T.bv_mul(T.zero_extend(p, 2 * bits),
                        T.zero_extend(q, 2 * bits))
-    return to_dimacs([
+    return _cnf(
         T.bv_eq(product, T.bv_const(composite, 2 * bits)),
         T.bv_ugt(p, T.bv_const(1, bits)),
         T.bv_ugt(q, T.bv_const(1, bits)),
-    ])
+    )
 
 
 def _thread_names():
@@ -85,9 +105,7 @@ def _thread_names():
 def test_portfolio_is_registered_with_capabilities():
     assert "portfolio" in available_backends()
     assert backend_capabilities()["portfolio"] == {
-        "supports_assumptions": False,
         "supports_incremental": False,
-        "produces_models": True,
     }
 
 
@@ -368,6 +386,20 @@ def test_lying_sat_is_caught_by_model_validation():
         "malformed-model", 0) >= 1
 
 
+def test_witnessless_sat_member_is_a_fault():
+    # A bare "sat" carries nothing to check, so it cannot win a race:
+    # the member is faulted and the trusted member's UNSAT stands.
+    class BareSat(SolverBackend):
+        name = "bare-sat"
+
+        def check(self, cnf, assumptions=(), limits=None):
+            return BackendResult("sat")
+
+    backend = PortfolioBackend(members=[BareSat()], hedge_delay=0.0)
+    assert backend.check(_unsat_dimacs()).verdict == "unsat"
+    assert backend.ledger.member("bare-sat").reasons == {"backend-error": 1}
+
+
 def test_min_agreement_requires_trusted_confirmation():
     # One honest external member + one crasher, min_agreement=2: the
     # sole definitive answer cannot reach quorum, so the trusted member
@@ -400,8 +432,7 @@ def test_flaky_member_recovers_between_crashes(tmp_path):
     state = tmp_path / "flaky-state"
     flaky = _fake_backend("--flaky", "2", "--state-file", str(state))
     # Solo roster: every check exercises the flaky member directly.
-    backend = PortfolioBackend(members=[flaky], hedge_delay=0.0,
-                               quarantine_after=3)
+    backend = PortfolioBackend(members=[flaky], hedge_delay=0.0)
     verdicts = [backend.check(_sat_dimacs()).verdict for _ in range(4)]
     # Crashes on calls 2 and 4; the trusted fallback still answers sat.
     assert verdicts == ["sat"] * 4

@@ -4,6 +4,7 @@ import pytest
 
 from repro.designs import alu_machine
 from repro.oyster import ast as oy
+from repro.smt.backends import OneShotCdclBackend, SolverConfig
 from repro.synthesis import synthesize, verify_design
 from repro.synthesis.engine import splice_control
 from repro.synthesis.minimize import minimize_solutions
@@ -27,8 +28,9 @@ def test_minimize_preserves_correctness(problem):
     assert "control minimization" in report.summary()
 
 
-def test_minimize_merges_dont_cares():
-    """A sketch with a genuinely unused hole must collapse to one group."""
+def _dont_care_problem():
+    """A sketch with a genuinely unused hole, plus artificially
+    fragmented (but correct) solutions for it."""
     from repro import hdl
     from repro.abstraction import parse_abstraction
     from repro.ila import BvConst, Ila
@@ -58,12 +60,17 @@ def test_minimize_merges_dont_cares():
             "with cycles: 1\n"
         ),
     )
-    # Hand the minimizer artificially fragmented (but correct) solutions.
     solutions = [
         InstructionSolution("ADD1", {"amount": 1, "unused": 0}, 1, 0.0),
         InstructionSolution("ADD2", {"amount": 2, "unused": 1}, 1, 0.0),
         InstructionSolution("ADD3", {"amount": 3, "unused": 2}, 1, 0.0),
     ]
+    return problem, solutions
+
+
+def test_minimize_merges_dont_cares():
+    """A sketch with a genuinely unused hole must collapse to one group."""
+    problem, solutions = _dont_care_problem()
     minimized, report = minimize_solutions(problem, solutions)
     values = {s.hole_values["unused"] for s in minimized}
     assert len(values) == 1  # don't-care fully merged
@@ -73,3 +80,27 @@ def test_minimize_merges_dont_cares():
     # And the resulting union emits a bare constant for the unused hole.
     hole_exprs, _ = control_union(problem, minimized)
     assert isinstance(hole_exprs["unused"], oy.Const)
+
+
+class CountingBackend(OneShotCdclBackend):
+    name = "counting"
+
+    def __init__(self):
+        self.checks = 0
+
+    def check(self, cnf, assumptions=(), limits=None):
+        self.checks += 1
+        return super().check(cnf, assumptions, limits)
+
+
+@pytest.mark.parametrize("pipeline", ["fresh", "incremental"])
+def test_minimize_probes_run_on_the_configured_backend(pipeline):
+    backend = CountingBackend()
+    problem, solutions = _dont_care_problem()
+    minimized, report = minimize_solutions(
+        problem, solutions,
+        config=SolverConfig(backend=backend, pipeline=pipeline))
+    assert len({s.hole_values["unused"] for s in minimized}) == 1
+    # Probes that fold to a constant never reach a backend; every other
+    # one must reach the configured backend.
+    assert 0 < backend.checks <= report.checks
