@@ -5,24 +5,12 @@ Usage::
 
     python scripts/bench_report.py BASELINE.json CURRENT.json
     python scripts/bench_report.py BENCH_table1.json   # just print it
-    python scripts/bench_report.py BENCH_table1.json \
-        --history BENCH_history.jsonl
 
 A regression is a wall-time increase above the tolerance (default 10%,
 ``--wall-tolerance``) or *any* increase in a deterministic encode counter
 (AIG nodes, Tseitin clauses, solver instances) — counters are exact for
 serial runs, so even a +1 drift means the encoding changed.  Exits
 nonzero when a regression is found, so CI can gate on it.
-
-``--history`` tracks wall time across runs instead of against one
-baseline: each invocation appends a dated row to the JSONL file and
-flags any case whose wall time drifts more than 10%
-(``--drift-tolerance``) from the trailing median of the last
-``--history-window`` runs.  The median absorbs one-off noise spikes a
-single-baseline diff would either gate on or bless; slow drift that a
-10%-per-step tolerance would never catch accumulates against the
-median instead.  Slower-than-median drift exits nonzero; faster is
-reported as an improvement.
 
 The pipeline ratios are gated *absolutely*, in both modes (even when
 just printing one report): a ``wall_ratio`` above 1.0 anywhere means
@@ -35,7 +23,6 @@ what the baseline said.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import sys
 
@@ -72,84 +59,6 @@ def load_cases(path):
     with open(path) as handle:
         report = json.load(handle)
     return report.get("cases", {})
-
-
-def load_history(path):
-    """All prior dated rows of a history JSONL file (missing file: [])."""
-    entries = []
-    try:
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    entries.append(json.loads(line))
-    except FileNotFoundError:
-        pass
-    return entries
-
-
-def trailing_median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def history_drift(entries, cases, window, tolerance):
-    """Yield ``(slower, message)`` for wall drift vs the trailing median.
-
-    ``slower`` is True when the case drifted above the median (the
-    gating direction); below-median drift is an improvement and only
-    reported.
-    """
-    for name in sorted(cases):
-        wall = cases[name].get(WALL_FIELD)
-        if wall is None:
-            continue
-        trail = [
-            entry["cases"][name][WALL_FIELD]
-            for entry in entries[-window:]
-            if WALL_FIELD in entry.get("cases", {}).get(name, {})
-        ]
-        if not trail:
-            continue
-        median = trailing_median(trail)
-        if median <= 0:
-            continue
-        delta = (wall - median) / median
-        if abs(delta) > tolerance:
-            yield delta > 0, (
-                f"{name}: {WALL_FIELD} {wall} drifts {delta:+.0%} from "
-                f"the trailing median {median:.3f} over {len(trail)} "
-                f"run(s) (tolerance ±{tolerance:.0%})"
-            )
-
-
-def history_mode(report_path, history_path, window, tolerance, date=None):
-    """Append a dated row; exit nonzero on slower-than-median drift."""
-    cases = load_cases(report_path)
-    entries = load_history(history_path)
-    slower = 0
-    for is_slower, message in history_drift(entries, cases, window,
-                                            tolerance):
-        if is_slower:
-            slower += 1
-            print(f"DRIFT       {message}")
-        else:
-            print(f"IMPROVED    {message}")
-    row = {
-        "date": date or datetime.date.today().isoformat(),
-        "cases": cases,
-    }
-    with open(history_path, "a") as handle:
-        handle.write(json.dumps(row, sort_keys=True) + "\n")
-    print(f"recorded {len(cases)} case(s) dated {row['date']} into "
-          f"{history_path} ({len(entries) + 1} row(s) total)")
-    if slower:
-        print(f"\n{slower} case(s) drifted slower than the trailing median")
-        return 1
-    return 0
 
 
 def fmt_case(name, fields):
@@ -211,25 +120,7 @@ def main(argv=None):
                         help="current report; omit to just print baseline")
     parser.add_argument("--wall-tolerance", type=float, default=0.10,
                         help="relative wall-time growth allowed (default .10)")
-    parser.add_argument("--history", metavar="HISTORY.jsonl", default=None,
-                        help="append a dated row and gate wall drift "
-                             "against the trailing median")
-    parser.add_argument("--history-window", type=int, default=5,
-                        help="trailing rows the median spans (default 5)")
-    parser.add_argument("--drift-tolerance", type=float, default=0.10,
-                        help="relative drift vs the trailing median "
-                             "(default .10)")
-    parser.add_argument("--date", default=None,
-                        help="date stamp for the history row "
-                             "(default: today, ISO format)")
     args = parser.parse_args(argv)
-
-    if args.history is not None:
-        if args.current is not None:
-            parser.error("--history takes one report, not a baseline pair")
-        return history_mode(args.baseline, args.history,
-                            args.history_window, args.drift_tolerance,
-                            date=args.date)
 
     if args.current is None:
         cases = load_cases(args.baseline)

@@ -22,12 +22,12 @@ reproducible with ``--seed``.
 A **telemetry round** runs first (skip with ``--no-telemetry-round``):
 an undisturbed daemon with tracing on serves the same jobs while the
 harness scrapes ``telemetry`` and ``health``, asserting nonzero
-``service.request`` / ``solver.check`` latency percentiles and a
-Prometheus exposition that carries them; a deliberately poisoned job
-(the chaos-gated ``chaos_poison`` design) must then leave at least one
-schema-valid flight-recorder dump and flip ``health`` to ``degraded``;
-finally ``trace_report.py --job`` must attribute every solver query of
-every completed job to its submission's single trace id (0 orphans).
+``service.request`` / ``solver.check`` latency percentiles; a
+deliberately poisoned job (the chaos-gated ``chaos_poison`` design)
+must then leave at least one schema-valid flight-recorder dump and flip
+``health`` to ``degraded``; finally ``trace_report.py --job`` must
+attribute every solver query of every completed job to its submission's
+single trace id (0 orphans).
 
 Run: ``PYTHONPATH=src python scripts/chaos_service.py [--rounds N]``
 """
@@ -146,10 +146,6 @@ def telemetry_round(stall):
             request_hist = _assert_histogram(metrics, "service.request")
             _assert_histogram(metrics, "solver.check")
             _assert_histogram(metrics, "service.queue_wait")
-            prom = telemetry["prometheus"]
-            assert "repro_service_request_count" in prom, (
-                "prometheus exposition is missing the request histogram")
-            assert 'le="+Inf"' in prom, prom[:200]
 
             # The poison pill: crash-loops to failed-permanent, which
             # must trip the flight recorder and degrade health.

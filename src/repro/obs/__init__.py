@@ -17,8 +17,6 @@ The legs of the layer, each usable alone:
   recent events, live even when JSONL tracing is off, dumped atomically
   on poison jobs, soundness violations, crash storms and unhandled
   daemon errors.
-* :mod:`repro.obs.export` — Prometheus text exposition of a metrics
-  snapshot (the daemon's ``telemetry`` op).
 * :mod:`repro.obs.schema` / :mod:`repro.obs.report` — the ``obs/v1``
   event contract and the post-hoc analysis behind
   ``scripts/trace_report.py``.
@@ -29,7 +27,6 @@ so every layer — ``runtime``, ``smt``, ``synthesis``, ``eval`` — may
 instrument itself without creating a cycle.
 """
 
-from repro.obs.export import render_prometheus
 from repro.obs.flight import (
     FlightRecorder,
     active_flight,
@@ -75,7 +72,6 @@ __all__ = [
     "active_flight",
     "flight_record",
     "flight_dump",
-    "render_prometheus",
     "SchemaError",
     "validate_event",
     "validate_trace",

@@ -116,7 +116,7 @@ class ServiceClient:
         return self.request(op="stats")
 
     def telemetry(self):
-        """Metrics snapshot + Prometheus exposition + flight status."""
+        """Metrics snapshot + flight recorder status."""
         return self.request(op="telemetry")
 
     def health(self):

@@ -43,7 +43,6 @@ import time
 
 from repro.obs import flight as _flight
 from repro.obs import trace as _obs
-from repro.obs.export import render_prometheus
 from repro.obs.metrics import METRICS as _METRICS
 from repro.service.admission import AdmissionController
 from repro.service.jobs import INTERRUPTED_STATES, Job
@@ -205,20 +204,20 @@ class SynthesisService:
             view["result"] = job.result
         return view
 
-    def wait(self, job_id, timeout=120.0, poll=0.02):
-        """Block until the job is terminal (or ``timeout`` elapses)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            job = self.store.get(job_id)
-            if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
-            if job.terminal:
-                return self.status(job_id)
-            if time.monotonic() >= deadline:
-                view = job.public_view()
-                view["timed_out"] = True
-                return view
-            time.sleep(poll)
+    def wait(self, job_id, timeout=120.0):
+        """Block until the job is terminal (or ``timeout`` elapses).
+
+        Wakes on the store's terminal transition; after ``timeout`` the
+        current view comes back with ``timed_out: True``.
+        """
+        job = self.store.wait_terminal(job_id, timeout)
+        if job is None:
+            raise KeyError(f"unknown job {job_id!r}")
+        if job.terminal:
+            return self.status(job_id)
+        view = job.public_view()
+        view["timed_out"] = True
+        return view
 
     def stats(self):
         counts = self.store.counts()
@@ -230,11 +229,9 @@ class SynthesisService:
         }
 
     def telemetry(self):
-        """The live metrics surface: snapshot + Prometheus exposition."""
-        snap = _METRICS.snapshot()
+        """The live metrics surface: snapshot + flight recorder status."""
         return {
-            "metrics": snap,
-            "prometheus": render_prometheus(snap),
+            "metrics": _METRICS.snapshot(),
             "flight": {
                 "entries": len(self.flight),
                 "capacity": self.flight.capacity,

@@ -245,6 +245,11 @@ class Supervisor:
         if job.terminal:
             return
         if crashes >= self.max_crashes:
+            # Poison is a post-mortem moment by definition: the ring
+            # holds the crash-looping job's last attempts.  Dump before
+            # the verdict, which wakes the job's waiters: a client that
+            # sees ``failed-permanent`` must find the dump.
+            _flight.flight_dump(f"poison-{job_id}")
             try:
                 self.store.transition(
                     job_id, "failed-permanent", crashes=crashes,
@@ -253,9 +258,6 @@ class Supervisor:
                           f"time(s), last: {detail}",
                 )
                 _METRICS.inc("service.jobs.poisoned")
-                # Poison is a post-mortem moment by definition: the ring
-                # holds the crash-looping job's last attempts.
-                _flight.flight_dump(f"poison-{job_id}")
             except Exception as store_exc:  # noqa: BLE001
                 # The poison verdict could not be made durable; park the
                 # job (still interrupted, re-admitted on next start)

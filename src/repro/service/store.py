@@ -65,6 +65,8 @@ class JobStore:
         self.jobs = {}            # job_id -> Job
         self._by_key = {}         # idempotency_key -> job_id
         self._lock = threading.RLock()
+        # Notified whenever a job enters a terminal state.
+        self._terminal = threading.Condition(self._lock)
         self._since_compact = 0
         self._gen = 0
         self._journal = None      # until open()
@@ -220,6 +222,8 @@ class JobStore:
             record.update(fields)
             self._journal.append(record)
             self._apply(record)
+            if job.terminal:
+                self._terminal.notify_all()
             self._maybe_compact()
         _METRICS.inc("service.jobs.transitions")
         _METRICS.inc(f"service.jobs.state.{state}")
@@ -232,6 +236,19 @@ class JobStore:
     def get(self, job_id):
         with self._lock:
             return self.jobs.get(job_id)
+
+    def wait_terminal(self, job_id, timeout):
+        """Block until the job is terminal or ``timeout`` seconds pass.
+
+        Returns the job either way (``job.terminal`` tells which), or
+        ``None`` for an unknown id.  :meth:`transition` wakes every
+        waiter when a job enters a terminal state.
+        """
+        with self._terminal:
+            job = self.jobs.get(job_id)
+            if job is not None:
+                self._terminal.wait_for(lambda: job.terminal, timeout)
+            return job
 
     def cached_result(self, idempotency_key):
         """A ``done`` job with this key, or ``None`` — the content-

@@ -215,7 +215,7 @@ def _synthesize(problem, mode, started, max_iterations, check_independence,
     if mode == "per_instruction":
         if check_independence:
             stats["independence_notes"] = check_instruction_independence(
-                problem
+                problem, config=config
             )
         solved = dict(resume_solutions)
         faults = []

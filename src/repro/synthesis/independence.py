@@ -15,7 +15,9 @@ from __future__ import annotations
 from repro.ila.compiler import ConstraintCompiler
 from repro.oyster.analysis import transitive_dependencies
 from repro.oyster.symbolic import SymbolicEvaluator
+from repro.runtime import RetryPolicy, SolverUnknown, run_with_retry
 from repro.smt import terms as T
+from repro.smt.backends import resolve_solver_config
 from repro.smt.solver import Solver, SAT, UNKNOWN
 from repro.synthesis.result import SynthesisError
 
@@ -30,11 +32,13 @@ class IndependenceViolation(SynthesisError):
 
 
 def check_instruction_independence(problem, timeout_per_pair=5.0,
-                                   max_pairwise=4096):
+                                   max_pairwise=4096, config=None):
     """Raise ``IndependenceViolation`` if either condition fails.
 
     The pairwise-exclusion check is skipped (with a returned note) when the
-    number of instruction pairs exceeds ``max_pairwise``.
+    number of instruction pairs exceeds ``max_pairwise``.  ``config`` is a
+    :class:`repro.smt.backends.SolverConfig`; its backend decides every
+    pair.
     """
     notes = []
     _check_no_feedback(problem)
@@ -45,7 +49,8 @@ def check_instruction_independence(problem, timeout_per_pair=5.0,
             f"budget of {max_pairwise})"
         )
         return notes
-    _check_mutual_exclusion(problem, timeout_per_pair)
+    _check_mutual_exclusion(problem, timeout_per_pair,
+                            resolve_solver_config(config))
     return notes
 
 
@@ -76,7 +81,7 @@ def _check_no_feedback(problem):
         )
 
 
-def _check_mutual_exclusion(problem, timeout_per_pair):
+def _check_mutual_exclusion(problem, timeout_per_pair, config):
     evaluator = SymbolicEvaluator(
         problem.sketch, const_mems=problem.const_mems, prefix="x!"
     )
@@ -87,25 +92,37 @@ def _check_mutual_exclusion(problem, timeout_per_pair):
         (instruction.name, compiler.compile_expr(instruction.decode))
         for instruction in problem.spec.instructions
     ]
-    side = T.and_(*trace.side_conditions)
+    solver = Solver(**config.solver_kwargs())
+    solver.add(T.and_(*trace.side_conditions))
     for i in range(len(preconditions)):
         for j in range(i + 1, len(preconditions)):
             name_i, pre_i = preconditions[i]
             name_j, pre_j = preconditions[j]
-            both = T.and_(side, pre_i, pre_j)
-            if both is T.FALSE:
+            if T.and_(pre_i, pre_j) is T.FALSE:
                 continue
-            solver = Solver()
-            solver.add(both)
-            verdict = solver.check(timeout=timeout_per_pair)
+            try:
+                verdict = _decide(solver, [pre_i, pre_j], timeout_per_pair)
+            except SolverUnknown as fault:
+                raise IndependenceViolation(
+                    f"could not decide exclusion of {name_i!r}/{name_j!r} "
+                    f"within the budget ({fault.reason})"
+                ) from fault
             if verdict is SAT:
                 raise IndependenceViolation(
                     f"instructions {name_i!r} and {name_j!r} can decode "
                     "simultaneously; per-instruction synthesis is unsound "
                     "for this specification"
                 )
-            if verdict == UNKNOWN:
-                raise IndependenceViolation(
-                    f"could not decide exclusion of {name_i!r}/{name_j!r} "
-                    f"within the budget ({verdict.reason})"
-                )
+
+
+def _decide(solver, assumptions, timeout):
+    """One pair check.  A retryable UNKNOWN, such as the death of a
+    sandboxed backend's child, is re-asked under the standard
+    :class:`RetryPolicy`, as CEGIS re-asks its own checks."""
+    def attempt_check(_attempt):
+        verdict = solver.check(timeout=timeout, assumptions=assumptions)
+        if verdict == UNKNOWN:
+            raise SolverUnknown(reason=verdict.reason)
+        return verdict
+
+    return run_with_retry(attempt_check, RetryPolicy())

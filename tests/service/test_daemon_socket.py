@@ -41,6 +41,17 @@ def test_ping_submit_wait_over_the_socket(served):
         assert stats["jobs"] == {"done": 1}
 
 
+def test_telemetry_and_health_over_the_socket(served):
+    socket_path, _service = served
+    with ServiceClient.connect_retry(socket_path=socket_path) as client:
+        ack = client.submit("accumulator")
+        assert client.wait(ack["job_id"], timeout=60)["state"] == "done"
+        telemetry = client.telemetry()
+        assert set(telemetry) == {"ok", "metrics", "flight"}
+        assert telemetry["metrics"]["hist.service.request"]["count"] > 0
+        assert client.health()["status"] == "ok"
+
+
 def test_typed_errors_cross_the_wire(served):
     socket_path, _service = served
     with ServiceClient.connect_retry(socket_path=socket_path) as client:

@@ -5,13 +5,20 @@ the fast accumulator problem; the socket layer has its own test module
 and the full kill -9 story lives in ``scripts/chaos_service.py``.
 """
 
+import sys
+import threading
+import time
+import types
+
 import pytest
 
 from repro.runtime import FaultInjector
 from repro.runtime.retry import RetryPolicy
 from repro.service import (
     AdmissionRejected,
+    Job,
     SynthesisService,
+    daemon,
     idempotency_key,
     register_problem,
 )
@@ -71,6 +78,83 @@ def test_draining_service_rejects_submissions(service):
     with pytest.raises(AdmissionRejected) as excinfo:
         service.submit("accumulator")
     assert excinfo.value.reason == "draining"
+
+
+@pytest.fixture
+def idle_service(tmp_path):
+    """A service whose store is open but whose runners never start, so
+    only the test moves its jobs."""
+    svc = SynthesisService(tmp_path / "state", fsync=False)
+    svc.store.open()
+    svc.store.submit(Job(job_id="j1", design="accumulator"))
+    yield svc
+    svc.store.close()
+
+
+def test_wait_wakes_on_the_terminal_transition(idle_service, monkeypatch):
+    def no_sleep(_seconds):
+        raise AssertionError("wait slept instead of blocking")
+
+    monkeypatch.setattr(daemon, "time", types.SimpleNamespace(
+        monotonic=time.monotonic, time=time.time, sleep=no_sleep))
+
+    def finish():
+        time.sleep(0.2)
+        idle_service.store.transition("j1", "running")
+        idle_service.store.transition("j1", "done",
+                                      result={"design": "design x"})
+
+    finisher = threading.Thread(target=finish)
+    finisher.start()
+    try:
+        job = idle_service.wait("j1", timeout=30)
+    finally:
+        finisher.join(30)
+    assert not finisher.is_alive()
+    assert job["state"] == "done"
+    assert job["result"] == {"design": "design x"}
+    assert "timed_out" not in job
+
+
+def test_every_waiter_wakes_under_contention(idle_service):
+    """More waiters than cores, each on its own job, with thread switches
+    forced often: a lost notification leaves a waiter timed out."""
+    store = idle_service.store
+    job_ids = [f"w{i}" for i in range(8)]
+    for job_id in job_ids:
+        store.submit(Job(job_id=job_id, design="accumulator"))
+    views = {}
+
+    def waiter(job_id):
+        views[job_id] = idle_service.wait(job_id, timeout=30)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=waiter, args=(job_id,))
+                   for job_id in job_ids]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.1)  # let the waiters block
+        for job_id in job_ids:
+            store.transition(job_id, "failed", error="stress")
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert {view["state"] for view in views.values()} == {"failed"}
+    assert sorted(views) == job_ids
+
+
+def test_wait_times_out_with_the_current_view(idle_service):
+    started = time.monotonic()
+    job = idle_service.wait("j1", timeout=0.2)
+    assert time.monotonic() - started >= 0.2
+    assert job["timed_out"] is True
+    assert job["state"] == "accepted"
+    with pytest.raises(KeyError):
+        idle_service.wait("no-such-job", timeout=0.2)
 
 
 def test_handle_request_shapes_typed_errors():
@@ -172,6 +256,8 @@ def test_poison_job_fails_permanent_after_crash_cap(tmp_path, flaky_design):
         assert job["state"] == "failed-permanent"
         assert job["reason"] == "poisoned"
         assert job["crashes"] == 2
+        # The post-mortem is on disk by the time the verdict is visible.
+        assert svc.health()["checks"]["flight"]["dumps"] >= 1
     finally:
         svc.shutdown(timeout=5.0)
 

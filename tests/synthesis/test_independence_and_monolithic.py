@@ -6,6 +6,10 @@ from repro import hdl
 from repro.abstraction import parse_abstraction
 from repro.designs import alu_machine
 from repro.ila import BvConst, Ila
+from repro.runtime import FaultInjector
+from repro.smt import counters
+from repro.smt.backends import OneShotCdclBackend, SolverConfig
+from repro.smt.backends.incremental_subprocess import reap_children
 from repro.synthesis import SynthesisProblem, synthesize
 from repro.synthesis.independence import (
     IndependenceViolation,
@@ -83,6 +87,45 @@ def test_feedback_into_control_detected():
                                alpha=alpha)
     with pytest.raises(IndependenceViolation, match="depend on holes"):
         check_instruction_independence(problem)
+
+
+class CountingBackend(OneShotCdclBackend):
+    name = "counting"
+
+    def __init__(self):
+        self.checks = 0
+
+    def check(self, cnf, assumptions=(), limits=None):
+        self.checks += 1
+        return super().check(cnf, assumptions, limits)
+
+
+def test_pair_checks_run_on_the_configured_backend():
+    backend = CountingBackend()
+    problem = alu_machine.build_problem()
+    notes = check_instruction_independence(
+        problem, config=SolverConfig(backend=backend))
+    assert notes == []
+    # alu_machine's 4 instructions make 6 pairs; none folds to FALSE, so
+    # every one is decided by the configured backend.
+    assert backend.checks == 6
+
+
+def test_pair_check_is_reasked_after_a_child_death():
+    injector = FaultInjector().inject_worker_crash(at_request=1)
+    with injector.installed(), reap_children():
+        notes = check_instruction_independence(
+            alu_machine.build_problem(),
+            config=SolverConfig(backend="incremental-subprocess"))
+    assert notes == []
+    assert [kind for kind, _ in injector.fired] == ["worker:crash"]
+
+
+def test_independence_builds_one_solver():
+    problem = alu_machine.build_problem()
+    before = counters.snapshot()
+    check_instruction_independence(problem)
+    assert counters.delta_since(before)["solver_instances"] == 1
 
 
 def test_pairwise_budget_note():
