@@ -69,7 +69,9 @@ def reference_designs():
     return reference
 
 
-def start_daemon(state_dir, stall, trace=None, chaos=False):
+def start_daemon(state_dir, stall, procs, trace=None, chaos=False):
+    """Start a daemon on ``state_dir``; its ``Popen`` joins ``procs``
+    before anything can fail, so the round's cleanup can stop it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -83,9 +85,22 @@ def start_daemon(state_dir, stall, trace=None, chaos=False):
         argv += ["--trace", trace]
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
                             text=True)
+    procs.append(proc)
     banner = json.loads(proc.stdout.readline())
     _host, port = banner["listening"]
     return proc, port, banner
+
+
+def stop_daemons(procs):
+    """Kill and reap every daemon of a round that is still running.
+
+    A round that passes has already shut its daemons down; one that fails
+    an assertion must not leave them behind."""
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stdout.close()
 
 
 def orphans_for(state_dir):
@@ -123,8 +138,9 @@ def telemetry_round(stall):
 
     state_dir = tempfile.mkdtemp(prefix="chaos-telemetry-")
     trace_path = os.path.join(state_dir, "trace.jsonl")
+    procs = []
     try:
-        proc, port, _banner = start_daemon(state_dir, stall,
+        proc, port, _banner = start_daemon(state_dir, stall, procs,
                                            trace=trace_path, chaos=True)
         with ServiceClient.connect_retry(port=port) as client:
             health = client.health()
@@ -185,13 +201,16 @@ def telemetry_round(stall):
               f"p99={request_hist['p99']}s, {len(dumps)} flight dump(s), "
               f"{len(acks)} job(s) fully attributed", flush=True)
     finally:
+        stop_daemons(procs)
         shutil.rmtree(state_dir, ignore_errors=True)
 
 
 def one_round(index, rng, reference, stall, trace=None):
     state_dir = tempfile.mkdtemp(prefix=f"chaos-service-{index}-")
+    procs = []
     try:
-        proc, port, _banner = start_daemon(state_dir, stall, trace=trace)
+        proc, port, _banner = start_daemon(state_dir, stall, procs,
+                                           trace=trace)
         with ServiceClient.connect_retry(port=port) as client:
             job_ids = {}
             for design in DESIGNS:
@@ -212,7 +231,7 @@ def one_round(index, rng, reference, stall, trace=None):
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait()
 
-        proc2, port2, banner2 = start_daemon(state_dir, 0.0)
+        proc2, port2, banner2 = start_daemon(state_dir, 0.0, procs)
         recovery = banner2["recovery"]
         with ServiceClient.connect_retry(port=port2) as client:
             # The kill-9 recovery gate: the restarted daemon must report
@@ -255,6 +274,7 @@ def one_round(index, rng, reference, stall, trace=None):
               f"{len(DESIGNS)} jobs bit-identical, {hits} cache hits, "
               f"0 orphans", flush=True)
     finally:
+        stop_daemons(procs)
         shutil.rmtree(state_dir, ignore_errors=True)
 
 

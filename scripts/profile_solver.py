@@ -13,10 +13,13 @@ Answers "where does the SAT time actually go?" at two granularities:
 * **Per phase** — every CDCL core the run creates gets
   ``SatSolver.enable_profiling()`` turned on, so propagate / analyze /
   reduce / simplify wall seconds accumulate per solver and are summed
-  here across the whole run.  This is the attribution that drove the
-  incremental-verify redesign: it is how "the descent floor dominates"
-  and "hard proofs burn analyze time" become measurements instead of
-  guesses.
+  here across the whole run.  The cores also record the wall of their
+  ``solve`` calls; what the four phases leave of it (decisions, the
+  decision heap, backtracking, assumption placement) is its own row, so
+  the rows add up to the cores' solve wall.  This is the attribution
+  that drove the incremental-verify redesign: it is how "the descent
+  floor dominates" and "hard proofs burn analyze time" become
+  measurements instead of guesses.
 * **Per query kind** — the run executes under a tracer, and the
   ``solver.check`` provenance events (PR-4 observability) are folded by
   their owning span kind: how many checks, their wall, conflicts,
@@ -86,6 +89,7 @@ class _ProfileAllSolvers:
 
     def summed(self):
         agg = {phase: 0.0 for phase in _PHASES}
+        agg["solve"] = 0.0
         agg["solves"] = 0
         for profile in self.profiles:
             for key in agg:
@@ -109,19 +113,21 @@ def _run_workload(args):
 
 def _phase_lines(profiled, wall):
     agg = profiled.summed()
-    phase_total = sum(agg[phase] for phase in _PHASES)
+    solve_wall = agg["solve"]
+    rows = [(phase, agg[phase]) for phase in _PHASES]
+    # Decisions, heap pops, backtracking and assumption placement run
+    # inside solve() but outside the four timed phases.
+    rows.append(("other", solve_wall - sum(agg[phase] for phase in _PHASES)))
     lines = [
         f"phase attribution ({len(profiled.profiles)} solver cores, "
         f"{agg['solves']} solves):",
         "  {:<12} {:>9}  {:>6}".format("phase", "wall_s", "share"),
     ]
-    for phase in _PHASES:
-        share = agg[phase] / phase_total if phase_total else 0.0
-        lines.append(
-            f"  {phase:<12} {agg[phase]:>9.3f}  {share:>5.1%}"
-        )
-    lines.append(f"  {'(total)':<12} {phase_total:>9.3f}  "
-                 f"{phase_total / wall if wall else 0.0:>5.1%} of "
+    for phase, seconds in rows:
+        share = seconds / solve_wall if solve_wall else 0.0
+        lines.append(f"  {phase:<12} {seconds:>9.3f}  {share:>5.1%}")
+    lines.append(f"  {'(solve)':<12} {solve_wall:>9.3f}  "
+                 f"{solve_wall / wall if wall else 0.0:>5.1%} of "
                  f"{wall:.3f}s run wall")
     return lines
 

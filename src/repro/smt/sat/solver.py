@@ -43,6 +43,19 @@ Cancellation is cooperative and checked at three checkpoints — every
 propagation batch, every few conflicts, and every few decisions — so a
 budget expiry is observed promptly (target: well under 100ms of overshoot)
 instead of only every 128 conflicts.
+
+The hot path is written for the interpreter: ``_propagate`` works on
+locals, assigns implied literals inline, writes a clause only when its
+other watch does not satisfy it and skips the replacement scan for binary
+clauses; the decision heap keeps a per-variable position list and its pop
+and insert are inlined where they run; ``_simplify`` tests each clause
+against only the level-0 facts fixed since its last pass.  Such rewrites
+obey one rule: the search stays bit-identical — the same trail order,
+conflicts, learned clauses, LBDs and models — which
+``tests/smt/test_sat.py::test_seeded_search_is_pinned`` and
+``tests/eval/test_pipeline_counters.py::test_default_search_is_pinned``
+pin.  A technique that changes a decision (blocker literals, binary
+implication lists, VMTF) is a different search and is measured as one.
 """
 
 from __future__ import annotations
@@ -133,7 +146,7 @@ class SatSolver:
         self._cancel = None       # cooperative cancellation event
         self._stop_flag = None    # set by _propagate on deadline expiry
         self._heap = []
-        self._heap_pos = {}
+        self._heap_pos = [-1]         # var -> heap index, -1 when absent
         self._seen = bytearray(1)     # persistent _analyze scratch (per var)
         self._last_assumptions = []   # previous solve's assumption vector
         self._n_assume = 0            # assumption count of the active solve
@@ -152,7 +165,10 @@ class SatSolver:
         self.watches.append([])
         self._seen.append(0)
         var = len(self.assign) - 1
-        self._heap_insert(var)
+        # A fresh variable's activity (0.0) never exceeds its parent's, so
+        # inserting it is an append: the sift-up would stop at once.
+        self._heap_pos.append(len(self._heap))
+        self._heap.append(var)
         return var
 
     @property
@@ -165,27 +181,27 @@ class SatSolver:
             return False
         if self.trail_lim:
             self._backtrack(0)
-        seen = set()
+        assign = self.assign
         clause = []
         for lit in lits:
-            if lit ^ 1 in seen:
-                return True  # tautology
-            if lit in seen:
-                continue
-            value = self._lit_value(lit)
-            if value == 1:
+            value = assign[lit >> 1]
+            if value == _UNASSIGNED:
+                # Only unassigned literals enter ``clause``, and Tseitin
+                # clauses are 2-3 literals long: membership in the clause
+                # itself finds duplicates and tautologies.
+                if lit in clause:
+                    continue
+                if lit ^ 1 in clause:
+                    return True  # tautology
+                clause.append(lit)
+            elif value != (lit & 1):
                 return True  # already satisfied at level 0
-            if value == 0:
-                continue  # falsified at level 0; drop the literal
-            seen.add(lit)
-            clause.append(lit)
+            # else: falsified at level 0; drop the literal
         if not clause:
             self.ok = False
             return False
         if len(clause) == 1:
-            if not self._enqueue(clause[0], -1):
-                self.ok = False
-                return False
+            self._enqueue(clause[0], -1)
             self.ok = self._propagate() == -1
             return self.ok
         index = len(self.clauses)
@@ -220,29 +236,66 @@ class SatSolver:
         return len(self.trail_lim)
 
     def _backtrack(self, target_level):
-        if self._decision_level() <= target_level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target_level:
             return
-        limit = self.trail_lim[target_level]
-        for lit in self.trail[limit:]:
+        trail = self.trail
+        limit = trail_lim[target_level]
+        assign = self.assign
+        heap = self._heap
+        pos = self._heap_pos
+        activity = self.activity
+        # ``reason`` is left stale: nothing reads it for an unassigned
+        # variable, and the next enqueue overwrites it.
+        for lit in trail[limit:]:
             var = lit >> 1
-            self.assign[var] = _UNASSIGNED
-            self.reason[var] = -1
-            self._heap_insert(var)
-        del self.trail[limit:]
-        del self.trail_lim[target_level:]
-        self.propagated = min(self.propagated, len(self.trail))
+            assign[var] = _UNASSIGNED
+            if pos[var] == -1:
+                i = len(heap)
+                heap.append(var)
+                key = activity[var]
+                while i > 0:
+                    parent = (i - 1) >> 1
+                    above = heap[parent]
+                    if activity[above] >= key:
+                        break
+                    heap[i] = above
+                    pos[above] = i
+                    i = parent
+                heap[i] = var
+                pos[var] = i
+        del trail[limit:]
+        del trail_lim[target_level:]
+        if self.propagated > limit:
+            self.propagated = limit
 
     # -- propagation -------------------------------------------------------
 
     def _propagate(self):
-        """Unit propagation; returns conflicting clause index or -1."""
+        """Unit propagation; returns conflicting clause index or -1.
+
+        The watched literals of a clause are ``clause[0]`` and
+        ``clause[1]``.  A visit through ``false_lit`` first reads the other
+        watch; when it satisfies the clause nothing is written.  Otherwise
+        the clause is normalized to ``[other, false_lit, ...]`` before the
+        replacement scan, so a reason or conflict clause always carries
+        the order of its last visit: its implied (or first) literal at
+        position 0.  Binary clauses have no replacement to scan for.
+        """
         clauses = self.clauses
         watches = self.watches
         assign = self.assign
-        while self.propagated < len(self.trail):
-            lit = self.trail[self.propagated]
-            self.propagated += 1
-            false_lit = lit ^ 1
+        level = self.level
+        reason = self.reason
+        phase = self.phase
+        trail = self.trail
+        decision_level = len(self.trail_lim)
+        polling = self._deadline is not None or self._cancel is not None
+        propagations = self.propagations
+        head = self.propagated
+        while head < len(trail):
+            false_lit = trail[head] ^ 1
+            head += 1
             watch_list = watches[false_lit]
             i = 0
             j = 0
@@ -255,53 +308,65 @@ class SatSolver:
                     # A clause deleted by reduction/simplification: drop the
                     # stale entry by not copying it (lazy watch cleanup).
                     continue
-                # Normalize: watched literals are clause[0] and clause[1].
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
-                first = clause[0]
-                if assign[first >> 1] == ((first & 1) ^ 1):  # satisfied
+                other = clause[0]
+                if other == false_lit:
+                    other = clause[1]
+                    if assign[other >> 1] == ((other & 1) ^ 1):  # satisfied
+                        watch_list[j] = ci
+                        j += 1
+                        continue
+                    clause[0] = other
+                    clause[1] = false_lit
+                elif assign[other >> 1] == ((other & 1) ^ 1):  # satisfied
                     watch_list[j] = ci
                     j += 1
                     continue
-                found = False
-                for k in range(2, len(clause)):
-                    other = clause[k]
-                    if assign[other >> 1] != (other & 1):  # not false
-                        clause[1], clause[k] = clause[k], clause[1]
-                        watches[other].append(ci)
-                        found = True
-                        break
-                if found:
-                    continue
+                if len(clause) > 2:
+                    moved = False
+                    for k in range(2, len(clause)):
+                        lit = clause[k]
+                        if assign[lit >> 1] != (lit & 1):  # not false
+                            clause[1] = lit
+                            clause[k] = false_lit
+                            watches[lit].append(ci)
+                            moved = True
+                            break
+                    if moved:
+                        continue
                 watch_list[j] = ci
                 j += 1
-                self.propagations += 1
-                if ((self._deadline is not None or self._cancel is not None)
-                        and (self.propagations & _PROPAGATION_CHECK_MASK) == 0
+                propagations += 1
+                if (polling
+                        and (propagations & _PROPAGATION_CHECK_MASK) == 0
                         and (flag := self._interrupt_flag()) is not None):
                     # Deadline or cancellation observed mid-propagation:
-                    # compact the watch list (keeping unscanned entries) and
-                    # bail out; the solve loop converts the flag into an
-                    # unknown verdict.  Rewind the queue index so this trail
-                    # literal is fully reprocessed if solving resumes later
-                    # (rescanning the already-moved entries is safe).
+                    # keep the unscanned entries and bail out; the solve
+                    # loop converts the flag into an unknown verdict.
+                    # Rewind the queue so this trail literal is fully
+                    # reprocessed if solving resumes later (rescanning the
+                    # already-moved entries is safe).
+                    del watch_list[j:i]
                     self._stop_flag = flag
-                    self.propagated -= 1
-                    while i < n:
-                        watch_list[j] = watch_list[i]
-                        j += 1
-                        i += 1
-                    del watch_list[j:]
+                    self.propagations = propagations
+                    self.propagated = head - 1
                     return -1
-                if not self._enqueue(first, ci):
-                    # Conflict: keep the rest of the watch list intact.
-                    while i < n:
-                        watch_list[j] = watch_list[i]
-                        j += 1
-                        i += 1
-                    del watch_list[j:]
+                var = other >> 1
+                if assign[var] != _UNASSIGNED:
+                    # ``other`` is false: conflict.  Keep the rest of the
+                    # watch list intact.
+                    del watch_list[j:i]
+                    self.propagations = propagations
+                    self.propagated = head
                     return ci
+                value = (other & 1) ^ 1
+                assign[var] = value
+                level[var] = decision_level
+                reason[var] = ci
+                phase[var] = value
+                trail.append(other)
             del watch_list[j:]
+        self.propagations = propagations
+        self.propagated = head
         return -1
 
     # -- clause learning ----------------------------------------------------
@@ -399,8 +464,9 @@ class SatSolver:
             for v in range(1, self.num_vars + 1):
                 self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
-        if var in self._heap_pos:
-            self._heap_sift_up(self._heap_pos[var])
+        i = self._heap_pos[var]
+        if i != -1:
+            self._heap_sift_up(i)
 
     def _bump_clause(self, index):
         if index in self.learned:
@@ -411,24 +477,6 @@ class SatSolver:
         self.cla_inc /= 0.999
 
     # -- decision heap (max-heap on activity) --------------------------------
-
-    def _heap_insert(self, var):
-        if var in self._heap_pos:
-            return
-        self._heap.append(var)
-        self._heap_pos[var] = len(self._heap) - 1
-        self._heap_sift_up(len(self._heap) - 1)
-
-    def _heap_pop(self):
-        heap = self._heap
-        top = heap[0]
-        last = heap.pop()
-        del self._heap_pos[top]
-        if heap:
-            heap[0] = last
-            self._heap_pos[last] = 0
-            self._heap_sift_down(0)
-        return top
 
     def _heap_sift_up(self, i):
         heap = self._heap
@@ -446,34 +494,45 @@ class SatSolver:
         heap[i] = item
         pos[item] = i
 
-    def _heap_sift_down(self, i):
-        heap = self._heap
-        activity = self.activity
-        pos = self._heap_pos
-        size = len(heap)
-        item = heap[i]
-        key = activity[item]
-        while True:
-            left = 2 * i + 1
-            if left >= size:
-                break
-            best = left
-            right = left + 1
-            if right < size and activity[heap[right]] > activity[heap[left]]:
-                best = right
-            if activity[heap[best]] <= key:
-                break
-            heap[i] = heap[best]
-            pos[heap[i]] = i
-            i = best
-        heap[i] = item
-        pos[item] = i
-
     def _pick_branch_var(self):
-        while self._heap:
-            var = self._heap_pop()
-            if self.assign[var] == _UNASSIGNED:
-                return var
+        """Pop the most active unassigned variable (0 when none is left).
+
+        Assigned variables stay in the heap until they surface here, so
+        each pop moves the last entry to the root and sifts it down.
+        """
+        heap = self._heap
+        pos = self._heap_pos
+        activity = self.activity
+        assign = self.assign
+        while heap:
+            top = heap[0]
+            last = heap.pop()
+            pos[top] = -1
+            size = len(heap)
+            if size:
+                key = activity[last]
+                i = 0
+                while True:
+                    child = 2 * i + 1
+                    if child >= size:
+                        break
+                    best = heap[child]
+                    best_key = activity[best]
+                    if child + 1 < size:
+                        right = heap[child + 1]
+                        if activity[right] > best_key:
+                            best = right
+                            best_key = activity[right]
+                            child += 1
+                    if best_key <= key:
+                        break
+                    heap[i] = best
+                    pos[best] = i
+                    i = child
+                heap[i] = last
+                pos[last] = i
+            if assign[top] == _UNASSIGNED:
+                return top
         return 0
 
     # -- learned clause DB reduction ------------------------------------------
@@ -533,35 +592,36 @@ class SatSolver:
         literals stripped from the rest (at positions >= 2 only, so the
         watch invariants survive untouched — after propagation reached its
         level-0 fixpoint, no surviving clause watches a false literal).
+
+        Only the facts fixed since the last pass can touch a surviving
+        clause: older ones were dealt with by that pass, ``add_clause``
+        drops level-0 literals and learned clauses never contain them.
         """
         if self.trail_lim or not self.ok:
             return
-        if len(self.trail) == self._simplified_at:
+        trail = self.trail
+        fresh = trail[self._simplified_at:]
+        if not fresh:
             return
-        assign = self.assign
         reason = self.reason
-        for lit in self.trail:
+        for lit in fresh:
             reason[lit >> 1] = -1  # level-0 facts need no reason clause
+        true_lits = set(fresh)
+        fixed_lits = true_lits.union([lit ^ 1 for lit in fresh])
         for ci, clause in enumerate(self.clauses):
-            if clause is None:
+            if clause is None or fixed_lits.isdisjoint(clause):
                 continue
-            satisfied = False
-            for l in clause:
-                if assign[l >> 1] == ((l & 1) ^ 1):
-                    satisfied = True
-                    break
-            if satisfied:
+            if not true_lits.isdisjoint(clause):
                 self._delete_clause(ci)
                 self.simplified_total += 1
                 continue
             k = len(clause) - 1
             while k >= 2:
-                l = clause[k]
-                if assign[l >> 1] == (l & 1):  # falsified at level 0
+                if clause[k] in fixed_lits:  # falsified at level 0
                     clause[k] = clause[-1]
                     clause.pop()
                 k -= 1
-        self._simplified_at = len(self.trail)
+        self._simplified_at = len(trail)
 
     # -- main solve loop ---------------------------------------------------------
 
@@ -590,12 +650,15 @@ class SatSolver:
         self._stop_flag = None
         self._deadline = deadline
         self._cancel = cancel
+        started = time.perf_counter()
         try:
             return self._solve(assumptions, max_conflicts, deadline, budget)
         finally:
             self._deadline = None
             self._cancel = None
             self._stop_flag = None
+            if self.profile is not None:
+                self.profile["solve"] += time.perf_counter() - started
 
     def _stop(self, reason):
         self.stop_reason = reason
@@ -771,13 +834,15 @@ class SatSolver:
         """Turn on phase-wall attribution; returns the live profile dict.
 
         Keys: ``propagate``/``analyze``/``reduce``/``simplify`` wall
-        seconds plus a ``solves`` call count.  Costs two clock reads per
-        phase call, so it is off by default — ``scripts/profile_solver.py``
-        is the intended consumer.
+        seconds, ``solve`` — the wall of whole ``solve`` calls, which adds
+        decisions, the heap, backtracking and assumption placement to
+        those phases — and a ``solves`` call count.  Costs two clock reads
+        per phase call, so it is off by default —
+        ``scripts/profile_solver.py`` is the intended consumer.
         """
         if self.profile is None:
             self.profile = {"propagate": 0.0, "analyze": 0.0, "reduce": 0.0,
-                            "simplify": 0.0, "solves": 0}
+                            "simplify": 0.0, "solve": 0.0, "solves": 0}
         return self.profile
 
     def internals(self):
@@ -809,11 +874,13 @@ class SatSolver:
             self.activity[var] = rng.random()
             self.phase[var] = rng.getrandbits(1)
         self.var_inc = 1.0
-        self._heap = []
-        self._heap_pos = {}
+        self._heap = heap = []
+        self._heap_pos = [-1] * (self.num_vars + 1)
         for var in range(1, self.num_vars + 1):
             if self.assign[var] == _UNASSIGNED:
-                self._heap_insert(var)
+                heap.append(var)
+                self._heap_pos[var] = len(heap) - 1
+                self._heap_sift_up(len(heap) - 1)
 
     def model(self):
         """The satisfying assignment as ``{var: 0/1}`` after a SAT solve."""

@@ -53,3 +53,25 @@ def test_per_instruction_counter_attribution():
     for solution in result.per_instruction:
         assert solution.solver_instances >= 1
         assert solution.trace_cache_hits >= 1
+
+
+def test_default_search_is_pinned():
+    """The default configuration's exact counts on the ALU machine.
+
+    Recorded before the CDCL hot path was rewritten for speed; that
+    rewrite, and any later one, must keep every decision of the search,
+    so these counts cannot move.  A change that alters the search on
+    purpose re-records them and reports the new iteration counts.
+    """
+    problem = alu_machine.build_problem()
+    result = synthesize(problem, timeout=300)
+    counters = result.stats["counters"]
+    assert sum(s.iterations for s in result.per_instruction) == 9
+    assert counters["solver_instances"] == 9
+    assert counters["tseitin_clauses"] == 15504
+    assert counters["sat_propagations"] == 31151
+    assert counters["sat_learned"] == 191
+    assert counters["sat_restarts"] == 1
+    assert counters["sat_trail_reuse_hits"] == 4
+    for name, expected in alu_machine.REFERENCE_HOLE_VALUES.items():
+        assert result.hole_values_for(name) == expected, name

@@ -299,3 +299,121 @@ def test_solve_is_repeatable(data):
     first = solver.solve()
     second = solver.solve()
     assert first is second
+
+
+# -- the search itself is pinned ------------------------------------------
+#
+# The core's hot path is tuned under one rule: a rewrite may take fewer
+# Python steps but must not change a single decision.  These seeded runs
+# pin, per solve, the verdict, the conflict count and every internals()
+# counter; a change that reorders the trail, learns a different clause
+# or deletes a different one moves at least one of them.  The values were
+# recorded on the core before its hot-path rewrite.
+
+_INTERNALS = ("propagations", "decisions", "restarts", "learned", "deleted",
+              "simplified", "trail_reuse_hits", "trail_reuse_levels_saved",
+              "chrono_backtracks")
+
+
+def _random_lits(rng, num_vars, width):
+    return [2 * rng.randrange(1, num_vars + 1) + rng.randrange(2)
+            for _ in range(width)]
+
+
+_UNIT = "unit"
+
+
+def _pinned_run(seed, num_vars, ratio, steps, reduce_limit=None):
+    """Run a seeded script of solves and unit additions on one solver.
+
+    ``steps`` holds ``_UNIT`` (add a random unit clause, a level-0 fact
+    arriving between solves) or ``(depth, max_conflicts)`` (solve under
+    ``depth`` assumptions that keep a random prefix of the previous
+    solve's).  Returns one ``(verdict, conflicts, *internals)`` row per
+    solve.
+    """
+    rng = random.Random(seed)
+    clauses = [_random_lits(rng, num_vars, 3)
+               for _ in range(int(num_vars * ratio))]
+    solver, _ = _make_solver(num_vars, clauses)
+    if reduce_limit is not None:
+        solver._reduce_limit = reduce_limit
+    rows = []
+    previous = []
+    for step in steps:
+        if step == _UNIT:
+            solver.add_clause(_random_lits(rng, num_vars, 1))
+            continue
+        depth, max_conflicts = step
+        assumptions = previous[:rng.randrange(len(previous) + 1)][:depth]
+        used = {lit >> 1 for lit in assumptions}
+        fresh = [v for v in rng.sample(range(1, num_vars + 1), depth)
+                 if v not in used]
+        assumptions += [2 * v + rng.randrange(2)
+                        for v in fresh[:depth - len(assumptions)]]
+        previous = assumptions
+        verdict = solver.solve(assumptions, max_conflicts=max_conflicts)
+        internals = solver.internals()
+        rows.append((verdict, solver.conflicts)
+                    + tuple(internals[key] for key in _INTERNALS))
+    return rows
+
+
+#: name -> (seed, num_vars, clause ratio, steps, extra) for ``_pinned_run``
+_PINNED_SCENARIOS = {
+    # Assumption solves that share prefixes (trail reuse), with level-0
+    # units arriving in between (simplification, lost reuse).
+    "trail_reuse_and_units": (
+        8, 120, 3.6,
+        [(6, None), (6, None), (6, None), _UNIT, _UNIT, (0, None),
+         (6, None), (6, None), _UNIT, (6, None)], {}),
+    # Reduction at every restart, as in the pressure test above, after a
+    # conflict-budgeted solve that stops with an unknown verdict.
+    "reduce_pressure": (
+        7, 100, 4.26, [(0, 300), (0, None), (3, None), (3, None)],
+        {"reduce_limit": 1}),
+    # 100-deep assumption stacks: backjumps longer than _CHRONO_LIMIT
+    # levels turn into chronological backtracks.
+    "deep_assumptions": (13, 300, 2.0, [(100, None)] * 4, {}),
+}
+
+#: the counters each scenario is there to drive
+_EXERCISES = {
+    "trail_reuse_and_units": ("trail_reuse_hits", "simplified"),
+    "reduce_pressure": ("restarts", "deleted"),
+    "deep_assumptions": ("trail_reuse_hits", "chrono_backtracks"),
+}
+
+#: per solve: (verdict, conflicts, *internals in _INTERNALS order)
+_PINNED_ROWS = {
+    "trail_reuse_and_units": [
+        (True, 210, 7499, 256, 1, 210, 0, 0, 0, 0, 0),
+        (True, 219, 7939, 278, 1, 219, 0, 0, 1, 1, 0),
+        (True, 309, 11011, 396, 1, 309, 0, 0, 2, 4, 0),
+        (True, 331, 11874, 452, 1, 331, 0, 29, 2, 4, 0),
+        (False, 352, 12661, 474, 1, 352, 0, 29, 2, 4, 0),
+        (True, 390, 13742, 542, 1, 390, 0, 29, 3, 9, 0),
+        (True, 390, 13840, 554, 1, 390, 0, 48, 3, 9, 0),
+    ],
+    "reduce_pressure": [
+        (None, 300, 9165, 360, 2, 300, 160, 0, 0, 0, 0),
+        (True, 324, 10035, 398, 2, 324, 160, 30, 0, 0, 0),
+        (True, 324, 10116, 412, 2, 324, 160, 60, 0, 0, 0),
+        (True, 324, 10197, 426, 2, 324, 160, 60, 1, 3, 0),
+    ],
+    "deep_assumptions": [
+        (False, 2, 60, 0, 0, 2, 0, 0, 0, 0, 1),
+        (False, 4, 65, 0, 0, 4, 0, 0, 1, 32, 2),
+        (False, 5, 70, 0, 0, 5, 0, 0, 2, 61, 2),
+        (False, 6, 78, 0, 0, 6, 0, 0, 3, 110, 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SCENARIOS))
+def test_seeded_search_is_pinned(name):
+    seed, num_vars, ratio, steps, extra = _PINNED_SCENARIOS[name]
+    rows = _pinned_run(seed, num_vars, ratio, steps, **extra)
+    assert rows == _PINNED_ROWS[name]
+    final = dict(zip(_INTERNALS, rows[-1][2:]))
+    assert all(final[key] > 0 for key in _EXERCISES[name])

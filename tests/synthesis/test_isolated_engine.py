@@ -32,13 +32,16 @@ def _assert_reference_values(result):
         assert result.hole_values_for(name) == expected, name
 
 
-def test_isolated_survives_injected_crash_and_hang(alu_problem):
+@pytest.mark.parametrize("check_independence", [True, False])
+def test_isolated_survives_injected_crash_and_hang(alu_problem,
+                                                   check_independence):
     before = METRICS.snapshot()
     injector = FaultInjector()
     injector.inject_worker_crash(at_request=2)
     injector.inject_worker_hang(at_request=4)
     with injector.installed():
-        result = synthesize(alu_problem, config=SANDBOXED, timeout=300)
+        result = synthesize(alu_problem, config=SANDBOXED, timeout=300,
+                            check_independence=check_independence)
     assert [kind for kind, _ in injector.fired] == [
         "worker:crash", "worker:hang",
     ]
@@ -52,6 +55,15 @@ def test_isolated_survives_injected_crash_and_hang(alu_problem):
     assert delta["worker.watchdog_kills"] >= 1
     # ...and nothing leaked: every spawned child was collected.
     assert delta["worker.spawned"] == delta["worker.reaped"]
+    retries = delta.get("cegis.retries", 0)
+    if check_independence:
+        # The independence check's pair queries come first, so both
+        # deaths land there and CEGIS never sees one.
+        assert retries == 0
+    else:
+        # Without it, both deaths hit CEGIS queries and take its retry
+        # path: an unknown verdict, a reseeded re-ask, a correct answer.
+        assert retries >= 2
 
 
 def test_isolated_matches_inprocess_solutions(alu_problem):
