@@ -4,6 +4,13 @@
 Writes ``results/full_eval.json`` and prints the tables; EXPERIMENTS.md is
 written from this output.  Expected runtime: tens of minutes.
 
+``--quick`` runs the quick rows instead (the instruction subsets of
+Tables 1 and 2, constant-time lengths 4/12/21/32) and writes
+``results/quick_eval.json``, so a quick run never overwrites the full
+results::
+
+    PYTHONPATH=src python scripts/run_full_eval.py --quick --trace run.jsonl
+
 An interrupted Table 1 run (Ctrl-C, budget exhaustion) leaves a resume
 handle; pass it back with ``--resume handle.json`` and the already-solved
 instructions are reused verbatim instead of being re-synthesized.
@@ -22,6 +29,25 @@ from repro.eval import (
     run_table2,
 )
 from repro.synthesis import MalformedResumeHandle, load_resume_handle
+
+
+@dataclasses.dataclass(frozen=True)
+class Scale:
+    """Which rows a run covers and where its results go."""
+
+    name: str
+    quick: bool
+    output: str
+    monolithic_timeout: float
+    ct_lengths: tuple
+
+
+FULL = Scale("full", False, "results/full_eval.json", 300,
+             tuple(range(4, 33)))
+QUICK = Scale("quick", True, "results/quick_eval.json", 120,
+              (4, 12, 21, 32))
+
+STUDIES = ("table1", "table2", "ct")
 
 
 def _load_resume(path):
@@ -50,14 +76,22 @@ def _load_resume(path):
     return partial
 
 
-def main():
+def parse_args(argv=None):
     parser = argparse.ArgumentParser(
-        description="Run the full paper evaluation (Tables 1/2, "
+        description="Run the paper evaluation (Tables 1/2, "
         "constant-time study)."
     )
+    # Checked below rather than with ``choices=``: before Python 3.12,
+    # argparse tests an empty ``nargs="*"`` list against the choices and
+    # rejects a command line that names no study.
     parser.add_argument(
-        "tables", nargs="*", choices=["table1", "table2", "ct"],
+        "tables", nargs="*", metavar="{table1,table2,ct}",
         help="restrict to the named studies (default: all)",
+    )
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="run the quick rows (instruction subsets, constant-time "
+        "lengths 4/12/21/32) and write results/quick_eval.json",
     )
     parser.add_argument(
         "--resume", metavar="HANDLE.json", default=None,
@@ -77,7 +111,11 @@ def main():
         "default: $REPRO_BACKEND or inprocess); "
         "the rows record which backend ran",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    unknown = sorted(set(args.tables) - set(STUDIES))
+    if unknown:
+        parser.error(f"unknown study {unknown[0]!r}; choose from "
+                     + ", ".join(STUDIES))
     if args.backend is not None:
         from repro.smt.backends import available_backends
 
@@ -86,6 +124,12 @@ def main():
                 f"unknown backend {args.backend!r}; registered: "
                 + ", ".join(available_backends())
             )
+    return args
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    scale = QUICK if args.quick else FULL
     only = set(args.tables)
     resume_handle = _load_resume(args.resume) if args.resume else None
 
@@ -97,20 +141,20 @@ def main():
         install(tracer)
         print(f"tracing to {args.trace} (run {tracer.run_id})", flush=True)
 
-    os.makedirs("results", exist_ok=True)
+    os.makedirs(os.path.dirname(scale.output), exist_ok=True)
     results = {}
-    if os.path.exists("results/full_eval.json"):
-        with open("results/full_eval.json") as handle:
+    if os.path.exists(scale.output):
+        with open(scale.output) as handle:
             results = json.load(handle)
 
     def save():
-        with open("results/full_eval.json", "w") as handle:
+        with open(scale.output, "w") as handle:
             json.dump(results, handle, indent=2)
 
     if not only or "table1" in only:
-        print("=== Table 1 (full) ===", flush=True)
+        print(f"=== Table 1 ({scale.name}) ===", flush=True)
         rows = run_table1(
-            quick=False, monolithic_timeout=300,
+            quick=scale.quick, monolithic_timeout=scale.monolithic_timeout,
             resume_from=resume_handle, backend=args.backend,
             progress=lambda row: print(
                 f"  {row.row_id}: {row.time_seconds:.1f}s ({row.status})"
@@ -124,9 +168,9 @@ def main():
         save()
 
     if not only or "table2" in only:
-        print("=== Table 2 (full) ===", flush=True)
+        print(f"=== Table 2 ({scale.name}) ===", flush=True)
         rows = run_table2(
-            quick=False,
+            quick=scale.quick,
             progress=lambda row: print(f"  {row.variant}: done", flush=True),
         )
         results["table2"] = [dataclasses.asdict(row) for row in rows]
@@ -134,9 +178,11 @@ def main():
         save()
 
     if not only or "ct" in only:
-        print("=== Constant-time study (full 4..32) ===", flush=True)
+        print(f"=== Constant-time study ({scale.name}: lengths "
+              f"{scale.ct_lengths[0]}..{scale.ct_lengths[-1]}) ===",
+              flush=True)
         started = time.monotonic()
-        rows = run_constant_time(lengths=tuple(range(4, 33)))
+        rows = run_constant_time(lengths=scale.ct_lengths)
         results["constant_time"] = [dataclasses.asdict(row) for row in rows]
         results["constant_time_seconds"] = time.monotonic() - started
         print(format_table(rows))
@@ -147,7 +193,7 @@ def main():
         clear()
         tracer.close()
         print(f"trace written to {tracer.path}")
-    print("saved results/full_eval.json")
+    print(f"saved {scale.output}")
 
 
 if __name__ == "__main__":

@@ -57,7 +57,9 @@ class AIG:
             return a
         if b < a:
             a, b = b, a
-        key = (a, b)
+        # One int per pair (literals stay below 2**32): the table then
+        # holds no 2-tuple per AND node.
+        key = (a << 32) | b
         cached = self._strash.get(key)
         if cached is not None:
             return cached

@@ -46,6 +46,18 @@ class BitBlaster:
                 cache[node] = self._blast_node(node)
         return cache[term]
 
+    def clear_memo(self):
+        """Drop the term -> literals memo, keeping the AIG and ``var_bits``.
+
+        The memo pins every term it has seen; clearing it lets them be
+        freed.  Blasting such a term again gives the literals it had and
+        builds no AIG node: variables map to the same inputs through
+        ``var_bits``, and every AND the operator handlers ask for is
+        already in the graph's structural hash.  So node ids, and with
+        them any solver's SAT variable numbering, stay as they were.
+        """
+        self._cache.clear()
+
     def blast_bit(self, term):
         """Blast a width-1 term to a single literal."""
         bits = self.blast(term)

@@ -15,10 +15,12 @@ monotonically improve.  The verify side has two modes: the fresh
 pipeline substitutes the candidate and solves a fresh, folded query; the
 incremental pipeline (see ``repro.synthesis.incremental``) stages each
 candidate's folded negation, selector-guarded, into one persistent
-per-formula verifier — interned AIG regions, SAT variables and learned
-clauses all survive across iterations and instructions, and polish runs
-per-hole assumption scans on the same core.  Both sides run under a
-cooperative
+per-formula verifier — SAT variables and learned clauses survive across
+the iterations of the formula's run, and polish runs per-hole
+assumption scans on the same core.  The verifier lives for that CEGIS
+run; only the shared AIGs (interned regions blast once) and their
+``var_bits`` carry over to the next instruction.  Both sides run under
+a cooperative
 ``repro.runtime.Budget`` (wall clock, conflicts, memory) so Table 1's
 timeout rows reproduce faithfully, and every UNKNOWN is typed:
 
@@ -119,11 +121,14 @@ def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
     is created when omitted) and decided under a one-literal selector
     assumption — no per-iteration solver construction, shared interned
     AIG (so shared SAT variables) between consecutive candidates, and
-    learned clauses that survive across iterations *and* across
-    instructions sharing the context.  Polish opens per-hole scan
-    verifiers (``assert_scan``) whose trial values ride as assumption
-    bits on a reused trail.  Any other pipeline (``"fresh"``, or ``None``
-    for a bare call) takes the substitution path, the ablation baseline.
+    learned clauses that survive across the run's iterations.  Polish
+    opens per-hole scan verifiers (``assert_scan``) whose trial values
+    ride as assumption bits on a reused trail.  Every exit of the run
+    (solved, failure, timeout, unknown, interrupt) releases the
+    formula's verifier (``IncrementalContext.release``): instructions
+    sharing the context share only its AIGs and ``var_bits``.  Any other
+    pipeline (``"fresh"``, or ``None`` for a bare call) takes the
+    substitution path, the ablation baseline.
 
     ``canonicalize=True`` (the default) polishes the converged candidate:
     hole bits are greedily zeroed, most-significant first in hole order,
@@ -166,6 +171,8 @@ def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
         budget = Budget(timeout=timeout)
     elif timeout is not None:
         budget = budget.child(timeout=timeout)
+    if incremental and incremental_ctx is None:
+        incremental_ctx = IncrementalContext(config=config)
     encode_before = _counters.snapshot()
     try:
         return _cegis_loop(
@@ -174,6 +181,8 @@ def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
             incremental, incremental_ctx, canonicalize,
         )
     finally:
+        if incremental:
+            incremental_ctx.release(formula)
         encode_delta = _counters.delta_since(encode_before)
         stats.solver_instances += encode_delta["solver_instances"]
         stats.aig_nodes += encode_delta["aig_nodes"]
@@ -192,11 +201,7 @@ def _cegis_loop(formula, hole_vars, max_iterations, stats, initial_candidate,
     if initial_candidate:
         candidate.update(initial_candidate)
     hole_by_name = {var.name: var for var in hole_vars}
-    guess_blaster = None
-    if incremental:
-        if incremental_ctx is None:
-            incremental_ctx = IncrementalContext(config=config)
-        guess_blaster = incremental_ctx.guess_blaster
+    guess_blaster = incremental_ctx.guess_blaster if incremental else None
     guess_solver = Solver(blaster=guess_blaster, **config.solver_kwargs())
 
     verify_mode = ("incremental" if incremental

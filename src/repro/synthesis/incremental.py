@@ -38,7 +38,9 @@ Three layers of waste in the fresh pipeline, and what replaces them:
    makes the sharing sound *and* scoped — interned AIG regions common
    to several instructions are built once, yet each verifier's CNF (and
    therefore each SAT check's assignment) covers only its own
-   instruction's cone.
+   instruction's cone.  A verifier is released when its formula's CEGIS
+   run ends (:meth:`IncrementalContext.release`); only the AIGs and
+   their ``var_bits`` outlive it.
 
 Why one verifier per formula rather than one for all: a CDCL check must
 extend its assignment to *every* variable in the solver, so a union
@@ -247,6 +249,14 @@ class IncrementalContext:
     guess-side blaster.  A context must be used serially: share one
     across a sequential per-instruction loop.
 
+    A verifier lives for its formula's CEGIS run: ``cegis_solve`` calls
+    :meth:`release` on every exit, which drops the verifier (and, under
+    ``incremental-subprocess``, lets its child be reaped) and clears
+    both blasters' term memos.  Only the two AIGs and their
+    ``var_bits`` persist across instructions, so an interned datapath
+    region blasts once per engine run, while peak memory follows the
+    live instruction rather than the whole spec.
+
     ``config`` is a :class:`repro.smt.backends.SolverConfig` selecting
     the decision procedure; on a stateless backend each candidate check
     ships the verifier's clause log with the assumptions as unit clauses
@@ -266,6 +276,22 @@ class IncrementalContext:
         #: instance currently staged on that formula's folded verifier.
         self._active = {}
         self._counter = 0
+
+    def release(self, formula):
+        """End ``formula``'s CEGIS run: drop its verifier and staged
+        instance, and clear both blasters' term memos.
+
+        Per-instruction queries never share a verifier (each formula
+        gets its own), so no later run checks on what is dropped.  The
+        AIGs and ``var_bits`` stay, so a term blasted again gets the
+        literals it had and builds no node (see
+        :meth:`BitBlaster.clear_memo`).  Releasing a formula that has no
+        verifier only clears the memos.
+        """
+        self._folded.pop(formula, None)
+        self._active.pop(formula, None)
+        self.verifier_blaster.clear_memo()
+        self.guess_blaster.clear_memo()
 
     def _folded_solver(self, formula):
         solver = self._folded.get(formula)

@@ -96,18 +96,20 @@ def test_run_reaps_children_of_solvers_that_outlive_it(alu_problem,
     # Reaping at the end of a run must not depend on garbage collection:
     # even when something keeps the run's solvers alive, their children
     # are gone once synthesize returns — and a kept solver respawns and
-    # replays if it is ever checked again.
-    kept = []
-    original_init = IncrementalContext.__init__
+    # replays if it is ever checked again.  The context releases each
+    # verifier when its instruction ends, so the test holds them itself.
+    solvers = []
+    original_folded_solver = IncrementalContext._folded_solver
 
-    def keeping_init(self, *args, **kwargs):
-        original_init(self, *args, **kwargs)
-        kept.append(self)
+    def keeping_folded_solver(self, formula):
+        solver = original_folded_solver(self, formula)
+        solvers.append(solver)
+        return solver
 
-    monkeypatch.setattr(IncrementalContext, "__init__", keeping_init)
+    monkeypatch.setattr(IncrementalContext, "_folded_solver",
+                        keeping_folded_solver)
     pids_before, threads_before = live_worker_pids(), reader_threads()
     synthesize(alu_problem, config=SANDBOXED, timeout=300)
-    solvers = [solver for ctx in kept for solver in ctx._folded.values()]
     assert solvers
     assert live_worker_pids() - pids_before == set()
     assert reader_threads() - threads_before == set()
