@@ -16,11 +16,10 @@ pipeline substitutes the candidate and solves a fresh, folded query; the
 incremental pipeline (see ``repro.synthesis.incremental``) stages each
 candidate's folded negation, selector-guarded, into one persistent
 per-formula verifier — SAT variables and learned clauses survive across
-the iterations of the formula's run, and polish runs per-hole
-assumption scans on the same core.  The verifier lives for that CEGIS
-run; only the shared AIGs (interned regions blast once) and their
-``var_bits`` carry over to the next instruction.  Both sides run under
-a cooperative
+the iterations of the formula's run, polish's trial candidates
+included.  The verifier lives for that CEGIS run; only the shared AIGs
+(interned regions blast once) and their ``var_bits`` carry over to the
+next instruction.  Both sides run under a cooperative
 ``repro.runtime.Budget`` (wall clock, conflicts, memory) so Table 1's
 timeout rows reproduce faithfully, and every UNKNOWN is typed:
 
@@ -52,7 +51,7 @@ from repro.smt import counters as _counters
 from repro.smt import terms as T
 from repro.smt.backends import resolve_solver_config
 from repro.smt.solver import Solver, SAT, UNSAT, UNKNOWN
-from repro.synthesis.incremental import IncrementalContext, candidate_assumptions
+from repro.synthesis.incremental import IncrementalContext
 from repro.synthesis.result import SynthesisFailure, SynthesisTimeout
 
 __all__ = ["cegis_solve", "CegisStats"]
@@ -100,7 +99,7 @@ class CegisStats:
 def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
                 stats=None, initial_candidate=None, partial_eval=True,
                 budget=None, retry_policy=None, incremental_ctx=None,
-                canonicalize=True, config=None, backend=None):
+                config=None, backend=None):
     """Find ints for ``hole_vars`` making ``formula`` valid for all states.
 
     ``formula`` is a width-1 term whose free variables are ``hole_vars``
@@ -121,24 +120,17 @@ def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
     is created when omitted) and decided under a one-literal selector
     assumption — no per-iteration solver construction, shared interned
     AIG (so shared SAT variables) between consecutive candidates, and
-    learned clauses that survive across the run's iterations.  Polish
-    opens per-hole scan verifiers (``assert_scan``) whose trial values
-    ride as assumption bits on a reused trail.  Every exit of the run
-    (solved, failure, timeout, unknown, interrupt) releases the
-    formula's verifier (``IncrementalContext.release``): instructions
+    learned clauses that survive across the run's iterations.  Every exit
+    of the run (solved, failure, timeout, unknown, interrupt) releases
+    the formula's verifier (``IncrementalContext.release``): instructions
     sharing the context share only its AIGs and ``var_bits``.  Any other
     pipeline (``"fresh"``, or ``None`` for a bare call) takes the
     substitution path, the ablation baseline.
 
-    ``canonicalize=True`` (the default) polishes the converged candidate:
-    hole bits are greedily zeroed, most-significant first in hole order,
-    keeping each flip only if the candidate still verifies.  Don't-care
-    bits — where the verify search would otherwise return an arbitrary,
-    pipeline-dependent pick — land on a canonical value, so fresh and
-    incremental runs synthesize identical control logic (and the control
-    union sees fewer spurious groups).  Each polish probe is one verify
-    check: an assumption query in incremental mode, a substitution solve
-    otherwise.
+    A verified candidate is polished before it is returned:
+    ``_zero_polish`` lowers each hole, in order, to its smallest value
+    that still verifies, so fresh and incremental runs synthesize
+    identical control logic.
 
     ``budget`` is a ``repro.runtime.Budget`` shared by both CEGIS sides
     (``timeout`` is folded into it); ``retry_policy`` governs escalation on
@@ -178,7 +170,7 @@ def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
         return _cegis_loop(
             formula, hole_vars, max_iterations, stats, initial_candidate,
             partial_eval, budget, retry_policy, config,
-            incremental, incremental_ctx, canonicalize,
+            incremental, incremental_ctx,
         )
     finally:
         if incremental:
@@ -191,7 +183,7 @@ def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
 
 def _cegis_loop(formula, hole_vars, max_iterations, stats, initial_candidate,
                 partial_eval, budget, retry_policy, config,
-                incremental, incremental_ctx, canonicalize):
+                incremental, incremental_ctx):
     hole_names = {var.name for var in hole_vars}
     forall_vars = [
         var for var in T.free_variables(formula)
@@ -256,38 +248,6 @@ def _cegis_loop(formula, hole_vars, max_iterations, stats, initial_candidate,
         stats.verify_conflicts += verifier.conflicts - conflicts_before
         return verdict, verifier
 
-    scan_probe = None
-    if incremental:
-        def scan_probe(var, fixed):
-            """Open a per-hole polish scan; returns ``probe(value)``.
-
-            One staged fold (every hole but ``var`` pinned) serves the
-            whole scan — each trial value is then a pure assumption
-            check whose prefix (selector + the scanned hole's shared low
-            bits) the core's trail reuse keeps across probes.
-            """
-            solver, sel = incremental_ctx.assert_scan(
-                formula, fixed, hole_by_name, var.name)
-            single = {var.name: var}
-
-            def probe(value):
-                started = time.monotonic()
-                with _obs.span("cegis.verify", mode=verify_mode):
-                    conflicts_before = solver.conflicts
-                    assumptions = [sel]
-                    assumptions += candidate_assumptions(
-                        single, {var.name: value})
-                    try:
-                        return _checked(solver, budget, retry_policy,
-                                        stats, side="verification",
-                                        assumptions=assumptions)
-                    finally:
-                        stats.verify_time += time.monotonic() - started
-                        stats.verify_conflicts += (solver.conflicts
-                                                   - conflicts_before)
-
-            return probe
-
     for _ in range(max_iterations):
         stats.iterations += 1
         _METRICS.inc("cegis.iterations")
@@ -297,12 +257,9 @@ def _cegis_loop(formula, hole_vars, max_iterations, stats, initial_candidate,
             # -- verify -----------------------------------------------------
             verdict, verifier = verify_candidate(candidate)
             if verdict is UNSAT:
-                if canonicalize:
-                    with _obs.span("cegis.polish"):
-                        candidate = _zero_polish(candidate, hole_vars,
-                                                 verify_candidate, stats,
-                                                 scan_probe)
-                return dict(candidate)
+                with _obs.span("cegis.polish"):
+                    return _zero_polish(candidate, hole_vars,
+                                        verify_candidate, stats)
             model = verifier.model()
             cex_values = {
                 var.name: _validated(model, var, side="verification")
@@ -375,8 +332,7 @@ def _record_counterexample(values, forall_vars, stats):
                  vars=len(values), vcd=path)
 
 
-def _zero_polish(candidate, hole_vars, verify_candidate, stats,
-                 scan_probe=None):
+def _zero_polish(candidate, hole_vars, verify_candidate, stats):
     """Canonicalize a verified candidate by minimizing each hole's value.
 
     Walks the holes in their given order; for each, scans values upward
@@ -391,30 +347,24 @@ def _zero_polish(candidate, hole_vars, verify_candidate, stats,
     expiry or solver fault mid-polish keeps the already-verified
     candidate instead of failing the instruction.
 
-    ``scan_probe`` (incremental mode) opens one per-hole scan verifier
-    and decides each trial by assumption check; the fallback re-verifies
-    full trial candidates through ``verify_candidate``.  Both decide the
-    identical query, so the polished values cannot depend on the path.
+    Every probe is ``verify_candidate(trial)`` on the trial candidate,
+    every hole folded to a constant: a substitution solve in fresh
+    mode, a stage on the formula's persistent verifier in incremental
+    mode.  A trial whose negation folds to a constant is decided with
+    no search.
     """
     candidate = dict(candidate)
     for var in hole_vars:
-        if not candidate[var.name]:
-            continue
-        probe = scan_probe(var, candidate) if scan_probe is not None else None
         for value in range(candidate[var.name]):
             stats.polish_checks += 1
+            trial = dict(candidate)
+            trial[var.name] = value
             try:
-                if probe is not None:
-                    verdict = probe(value)
-                else:
-                    trial = dict(candidate)
-                    trial[var.name] = value
-                    verdict, _ = verify_candidate(trial)
+                verdict, _ = verify_candidate(trial)
             except (SynthesisTimeout, SolverUnknown):
                 return candidate
             if verdict is UNSAT:
-                candidate = dict(candidate)
-                candidate[var.name] = value
+                candidate = trial
                 break
     return candidate
 

@@ -23,9 +23,10 @@ Three layers of waste in the fresh pipeline, and what replaces them:
    variant — assert once with holes free, assume one literal per hole
    bit — was measured against this and retired: extending the
    assignment over the full symbolic cone costs more per check than
-   the folded stage-plus-solve on every workload shape.  Per-hole
-   assumption scans survive where they win: ``assert_scan`` stages a
-   fold with a single hole left free for polish/minimize probe loops,
+   the folded stage-plus-solve on every workload shape.  Polish
+   probes are folded stages too, so a trial that folds to a constant
+   needs no search.  Only minimization keeps a per-hole assumption
+   scan: ``assert_scan`` stages a fold with a single hole left free,
    whose per-value checks are pure assumption solves with a reused
    trail prefix.  Retirement of a superseded instance (asserting its
    selector's negation) is deferred to the *next* staging on that
@@ -350,14 +351,14 @@ class IncrementalContext:
         """Stage ``¬formula`` folded over every hole except ``free_name``;
         returns ``(solver, selector)``.
 
-        This is the per-hole scan primitive behind polish and
-        minimization: the fixed holes collapse the datapath as in
-        :meth:`assert_folded`, but the scanned hole stays symbolic, so
-        each trial value is a pure assumption check —
-        ``[selector] + candidate_assumptions(...)`` — with zero new
-        encoding.  Consecutive probes share the selector and the scanned
-        hole's low bits, which is exactly the assumption-prefix shape
-        the core's trail reuse keeps.  Re-requesting the same scan (same
+        This is the per-hole scan primitive behind minimization: the
+        fixed holes collapse the datapath as in :meth:`assert_folded`,
+        but the scanned hole stays symbolic, so each trial value is a
+        pure assumption check — ``[selector] +
+        candidate_assumptions(...)`` — with zero new encoding.
+        Consecutive probes share the selector and the scanned hole's low
+        bits, which is exactly the assumption-prefix shape the core's
+        trail reuse keeps.  Re-requesting the same scan (same
         formula, same fixed values, same free hole) returns the live
         instance instead of staging a new one.
         """

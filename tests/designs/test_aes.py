@@ -114,6 +114,18 @@ def test_aes_state_hole_dispatches_on_round(synthesized):
     assert result.hole_exprs["state"] == ast.Const(0, 2)
 
 
+def test_final_round_polish_decides_by_folding(synthesized):
+    # Polish probes FinalRound's trial candidates with every hole folded
+    # to a constant, so a trial whose negation folds away is decided with
+    # no search; the instruction's whole run takes a few hundred
+    # conflicts.  Probing with the lowered hole left symbolic instead
+    # spent about 300,000 conflicts proving the last trial.
+    _, result = synthesized
+    (final,) = [solution for solution in result.per_instruction
+                if solution.instruction_name == "FinalRound"]
+    assert final.conflicts < 10_000
+
+
 def _run_accelerator(design, plaintext, key, cycles=11):
     sim = CompiledSimulator(
         design,
