@@ -7,8 +7,8 @@ synthesized-control core and the hand-written-reference core, and prints
 the cycle counts — which must all be identical.
 
 Run: ``python examples/constant_time_crypto.py``
-(use ``examples/reproduce_tables.py --constant-time`` for the full 4..32
-sweep recorded in EXPERIMENTS.md).
+(use ``scripts/run_full_eval.py ct`` for the full 4..32 sweep recorded
+in EXPERIMENTS.md).
 """
 
 from repro.eval.constant_time import build_cores, run_constant_time

@@ -4,7 +4,7 @@
 Usage::
 
     python scripts/profile_solver.py
-    python scripts/profile_solver.py --pipeline fresh
+    python scripts/profile_solver.py --pipeline fresh   # or unfolded
     python scripts/profile_solver.py --isa RV32I --variant single_cycle \\
         --instructions add,addi,lui,and --trace /tmp/profile.jsonl
 
@@ -53,6 +53,7 @@ from repro.obs.report import (  # noqa: E402
 )
 from repro.obs.schema import load_events  # noqa: E402
 from repro.smt import counters as _counters  # noqa: E402
+from repro.smt.backends import PIPELINES  # noqa: E402
 from repro.smt.sat import solver as _sat_mod  # noqa: E402
 
 _PHASES = ("propagate", "analyze", "reduce", "simplify")
@@ -167,7 +168,7 @@ def main(argv=None):
     parser.add_argument("--instructions", default="add,addi,lui,and",
                         help="comma list; empty string = the full ISA")
     parser.add_argument("--pipeline", default="incremental",
-                        choices=["incremental", "fresh"])
+                        choices=PIPELINES)
     parser.add_argument("--backend", default=None,
                         help="solver backend name (default: $REPRO_BACKEND)")
     parser.add_argument("--timeout", type=float, default=600.0)

@@ -28,6 +28,7 @@ from repro.eval import (
     run_table1,
     run_table2,
 )
+from repro.smt.backends import SolverConfig
 from repro.synthesis import MalformedResumeHandle, load_resume_handle
 
 
@@ -155,7 +156,8 @@ def main(argv=None):
         print(f"=== Table 1 ({scale.name}) ===", flush=True)
         rows = run_table1(
             quick=scale.quick, monolithic_timeout=scale.monolithic_timeout,
-            resume_from=resume_handle, backend=args.backend,
+            resume_from=resume_handle,
+            config=SolverConfig(backend=args.backend),
             progress=lambda row: print(
                 f"  {row.row_id}: {row.time_seconds:.1f}s ({row.status})"
                 + (f", reused {row.resumed_instructions}"

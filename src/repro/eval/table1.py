@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from repro.obs import trace as _obs
 from repro.oyster.printer import design_loc
 from repro.smt import counters as _counters
-from repro.smt.backends import SolverConfig, resolve_backend_name
-from repro.synthesis import SynthesisTimeout, resolve_pipeline, synthesize
+from repro.smt.backends import SolverConfig
+from repro.synthesis import SynthesisTimeout, synthesize
 from repro.synthesis.result import PartialSynthesisResult, SynthesisError
 
 __all__ = ["run_table1", "TABLE1_CONFIGS", "Table1Row", "build_config"]
@@ -130,7 +130,7 @@ def _applicable_resume(resume_from, problem, mode):
 
 
 def run_row(row_id, quick=True, timeout=1800, monolithic_timeout=120,
-            resume_from=None, pipeline=None, backend=None):
+            resume_from=None, config=None):
     """Run one Table 1 row; returns a ``Table1Row``.
 
     ``resume_from`` is a :class:`PartialSynthesisResult` (or its
@@ -138,19 +138,19 @@ def run_row(row_id, quick=True, timeout=1800, monolithic_timeout=120,
     this row's problem and mode, the already-solved instructions are
     reused verbatim and counted in ``resumed_instructions``.
 
-    ``pipeline`` selects ``"fresh"``/``"incremental"`` (``None`` takes
-    the engine default); ``backend`` selects the solver backend (``None``
-    takes the process default).  The row records which of each actually
-    ran plus the encode-counter deltas, so BENCH_table1.json can track
-    the perf trajectory in deterministic units — and every number is
-    attributable to the decision procedure that produced it.
+    ``config`` is the :class:`repro.smt.backends.SolverConfig` the row
+    synthesizes under (``None`` means ``SolverConfig()``).  The row
+    records the backend and pipeline that ran plus the encode-counter
+    deltas, so BENCH_table1.json can track the perf trajectory in
+    deterministic units — and every number is attributable to the
+    decision procedure that produced it.
     """
     row_config = next(c for c in TABLE1_CONFIGS if c[0] == row_id)
     _, design_name, variant, mode = row_config
     problem = build_config(row_id, quick=quick)
     resume = _applicable_resume(resume_from, problem, mode)
     budget = monolithic_timeout if mode == "monolithic" else timeout
-    solver_config = SolverConfig(backend=backend, pipeline=pipeline)
+    config = config or SolverConfig()
     started = time.monotonic()
     status = "ok"
     reason = ""
@@ -158,10 +158,10 @@ def run_row(row_id, quick=True, timeout=1800, monolithic_timeout=120,
     iterations = 0
     encode_before = _counters.snapshot()
     with _obs.span("table1.row", row=row_id, mode=mode, quick=quick,
-                   backend=solver_config.backend_name):
+                   backend=config.backend_name):
         try:
             result = synthesize(problem, mode=mode, timeout=budget,
-                                resume_from=resume, config=solver_config)
+                                resume_from=resume, config=config)
             elapsed = result.elapsed
             if "cegis" in result.stats:
                 iterations = result.stats["cegis"]["iterations"]
@@ -193,8 +193,8 @@ def run_row(row_id, quick=True, timeout=1800, monolithic_timeout=120,
         reason=reason,
         completed_instructions=completed,
         resumed_instructions=resume.completed_count if resume else 0,
-        backend=resolve_backend_name(backend),
-        pipeline=resolve_pipeline(pipeline),
+        backend=config.backend_name,
+        pipeline=config.pipeline,
         iterations=iterations,
         solver_instances=encode["solver_instances"],
         aig_nodes=encode["aig_nodes"],
@@ -206,20 +206,20 @@ def run_row(row_id, quick=True, timeout=1800, monolithic_timeout=120,
 
 def run_table1(row_ids=None, quick=True, timeout=1800,
                monolithic_timeout=120, progress=None, resume_from=None,
-               backend=None):
+               config=None):
     """Run Table 1 (all rows by default); returns the row list.
 
     ``resume_from`` is matched against each row (by problem name and
     mode), so an interrupted full run's handle restarts only the work
-    that was actually lost.  ``backend`` selects the solver backend for
-    every row (``None``: the process default).
+    that was actually lost.  ``config`` (a
+    :class:`repro.smt.backends.SolverConfig`) applies to every row.
     """
-    chosen = row_ids or [config[0] for config in TABLE1_CONFIGS]
+    chosen = row_ids or [row[0] for row in TABLE1_CONFIGS]
     rows = []
     for row_id in chosen:
         row = run_row(row_id, quick=quick, timeout=timeout,
                       monolithic_timeout=monolithic_timeout,
-                      resume_from=resume_from, backend=backend)
+                      resume_from=resume_from, config=config)
         rows.append(row)
         if progress is not None:
             progress(row)

@@ -58,9 +58,9 @@ def main(argv=None):
         from repro.obs.trace import Tracer, install
         install(Tracer(args.trace))
 
-    config = SolverConfig(backend=args.backend) if args.backend else None
     service = SynthesisService(
-        args.state_dir, config=config, threads=args.threads,
+        args.state_dir, config=SolverConfig(backend=args.backend),
+        threads=args.threads,
         max_queue_depth=args.max_queue_depth,
         max_active_per_tenant=args.max_active_per_tenant,
         tenant_conflict_cap=args.tenant_conflict_cap,

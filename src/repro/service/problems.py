@@ -25,6 +25,7 @@ import threading
 
 from repro.oyster import print_design
 from repro.service.admission import AdmissionRejected
+from repro.smt.backends import SolverConfig
 
 __all__ = ["PROBLEMS", "register_problem", "build_problem",
            "idempotency_key"]
@@ -93,21 +94,18 @@ def idempotency_key(problem, mode="per_instruction", config=None):
 
     Hashes exactly the inputs that determine the answer: the canonical
     sketch text, the instruction names (order matters — it is the spec's
-    order), the mode, and the solver configuration's result-visible
-    knobs (backend name and pipeline).  A backend is keyed by its name,
-    not its instance: how a check is run changes *how fast* the answer
-    arrives, not what it is.
+    order), the mode, and the backend name and pipeline of the config
+    that runs: ``config or SolverConfig()``, so ``None`` keys exactly as
+    the default config under the process's ``$REPRO_BACKEND``.  A
+    backend is keyed by its name, not its instance: how a check is run
+    changes *how fast* the answer arrives, not what it is.
     """
+    config = config or SolverConfig()
     digest = hashlib.sha256()
     digest.update(print_design(problem.sketch).encode("utf-8"))
     for instruction in problem.spec.instructions:
         digest.update(b"\x00" + instruction.name.encode("utf-8"))
     digest.update(b"\x01" + mode.encode("utf-8"))
-    backend_name = "inprocess"
-    pipeline = ""
-    if config is not None:
-        backend_name = config.backend_name or "inprocess"
-        pipeline = config.pipeline or ""
-    digest.update(b"\x02" + backend_name.encode("utf-8"))
-    digest.update(b"\x03" + pipeline.encode("utf-8"))
+    digest.update(b"\x02" + config.backend_name.encode("utf-8"))
+    digest.update(b"\x03" + config.pipeline.encode("utf-8"))
     return digest.hexdigest()

@@ -34,7 +34,6 @@ from repro.smt.backends import (
     backend_capabilities,
     register_backend,
     resolve_backend,
-    resolve_solver_config,
 )
 from repro.smt.solver import (
     Solver,
@@ -57,7 +56,6 @@ __all__ = [
     "backend_capabilities",
     "register_backend",
     "resolve_backend",
-    "resolve_solver_config",
     "Term",
     "bv_const",
     "bv_var",

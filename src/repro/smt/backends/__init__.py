@@ -12,7 +12,10 @@ Exposed interfaces
 
 * :class:`SolverConfig` — the one way to choose how checks run: a
   ``backend`` (registered name, instance, or ``None`` for the process
-  default) and a ``pipeline`` (``"fresh"``/``"incremental"``).
+  default) and a ``pipeline`` (``"incremental"``, the default,
+  ``"fresh"``, or ``"unfolded"``, the rewriter ablation).  Entry points
+  take it as ``config=`` and pass it down unchanged; a solver is built
+  as ``Solver(backend=config.backend)``.
 * The built-in backends, by registered name: ``inprocess`` (the bundled
   CDCL core, incremental), ``subprocess-dimacs`` (any installed DIMACS
   solver, kissat/cryptominisat/minisat-style), ``incremental-subprocess``
@@ -30,16 +33,15 @@ Internal helpers
 ----------------
 
 :func:`resolve_backend` / :func:`resolve_backend_name` (name to
-instance, used by the facade), :func:`resolve_solver_config` (folds the
-``backend=`` shorthand into a config at each entry point),
-:class:`OneShotCdclBackend` (the portfolio's trusted member),
-:class:`HealthLedger` / :class:`MemberHealth` (portfolio health), and
+instance, used by the facade), :class:`OneShotCdclBackend` (the
+portfolio's trusted member), :class:`HealthLedger` /
+:class:`MemberHealth` (portfolio health), and
 :func:`~repro.smt.backends.incremental_subprocess.reap_children` (the
 engine's run-scoped child reaping).
 """
 
 from repro.smt.backends.base import BackendResult, CheckLimits, SolverBackend
-from repro.smt.backends.config import SolverConfig, resolve_solver_config
+from repro.smt.backends.config import PIPELINES, SolverConfig
 from repro.smt.backends.health import HealthLedger, MemberHealth
 from repro.smt.backends.incremental_subprocess import (
     WORKER_ENV,
@@ -71,7 +73,7 @@ __all__ = [
     "BackendResult",
     "CheckLimits",
     "SolverConfig",
-    "resolve_solver_config",
+    "PIPELINES",
     "InProcessBackend",
     "OneShotCdclBackend",
     "SubprocessDimacsBackend",

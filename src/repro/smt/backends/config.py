@@ -1,58 +1,49 @@
 """``SolverConfig``: the one object that says how checks are solved.
 
-Callers build one ``SolverConfig`` (or pass just ``backend="..."``); the
-engine resolves it *once* at its boundary, and the resolved object rides
-down the stack through ``synthesize_instruction``,
+Callers build one ``SolverConfig``; every solving entry point takes it
+as ``config=`` (``None`` means ``SolverConfig()``) and passes it down
+unchanged through ``synthesize_instruction``,
 ``synthesize_monolithic_solutions``, ``cegis_solve``,
-``IncrementalContext`` and ``verify_design``.
+``IncrementalContext`` and ``verify_design``.  No layer resolves it
+again: a config always holds a concrete pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 
 from repro.smt.backends.registry import resolve_backend_name
 
-__all__ = ["SolverConfig", "resolve_solver_config"]
+__all__ = ["SolverConfig", "PIPELINES"]
+
+#: The three pipelines, the default first.  ``"unfolded"`` is the
+#: rewriter ablation: the fresh pipeline whose CEGIS verify asserts
+#: ``hole == constant`` beside the unreduced formula instead of folding
+#: the candidate in.
+PIPELINES = ("incremental", "fresh", "unfolded")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """How solver checks run, resolved once and threaded everywhere.
+    """How solver checks run, threaded unchanged everywhere.
 
     ``backend`` is a registered backend name, a live
     :class:`~repro.smt.backends.base.SolverBackend` instance, or ``None``
     (the process default — ``$REPRO_BACKEND`` or ``"inprocess"``).
-    ``pipeline`` is ``"fresh"``/``"incremental"`` or ``None`` for the
-    engine default.
+    ``pipeline`` is one of :data:`PIPELINES`; anything else, ``None``
+    included, raises.
     """
 
     backend: object = None
-    pipeline: str = None
+    pipeline: str = "incremental"
+
+    def __post_init__(self):
+        if self.pipeline not in PIPELINES:
+            raise ValueError(
+                f"unknown pipeline {self.pipeline!r}; choose from "
+                + ", ".join(PIPELINES))
 
     @property
     def backend_name(self):
         """The name this config's backend resolves to."""
         return resolve_backend_name(self.backend)
-
-    def solver_kwargs(self):
-        """Keyword arguments for ``Solver(...)`` under this config."""
-        return {"backend": self.backend}
-
-    def replace(self, **changes):
-        """A copy with ``changes`` applied (configs are frozen)."""
-        return _dc_replace(self, **changes)
-
-
-def resolve_solver_config(config=None, *, backend=None):
-    """Fold the ``backend=`` shorthand into one :class:`SolverConfig`.
-
-    Passing ``config`` *and* ``backend`` is a contradiction and raises —
-    a config is supposed to be resolved exactly once.
-    """
-    if config is not None:
-        if backend is not None:
-            raise ValueError(
-                "pass either config= or backend=, not both")
-        return config
-    return SolverConfig(backend=backend)

@@ -21,11 +21,7 @@ from repro.synthesis.result import (
 from repro.synthesis.handles import load_resume_handle, save_resume_handle
 from repro.synthesis.cegis import cegis_solve
 from repro.synthesis.diagnosis import diagnose_instruction, InstructionDiagnosis
-from repro.synthesis.incremental import (
-    IncrementalContext,
-    TraceCache,
-    resolve_pipeline,
-)
+from repro.synthesis.incremental import IncrementalContext, TraceCache
 from repro.synthesis.minimize import minimize_solutions, MinimizationReport
 from repro.synthesis.verifier import verify_design, VerificationResult
 
@@ -46,7 +42,6 @@ __all__ = [
     "InstructionDiagnosis",
     "IncrementalContext",
     "TraceCache",
-    "resolve_pipeline",
     "minimize_solutions",
     "MinimizationReport",
     "verify_design",

@@ -11,15 +11,16 @@ here it is explicit:
    constraint on the hole variables; ask for a new candidate.
 
 The guess solver is incremental — every counterexample stays, so candidates
-monotonically improve.  The verify side has two modes: the fresh
-pipeline substitutes the candidate and solves a fresh, folded query; the
-incremental pipeline (see ``repro.synthesis.incremental``) stages each
-candidate's folded negation, selector-guarded, into one persistent
-per-formula verifier — SAT variables and learned clauses survive across
-the iterations of the formula's run, polish's trial candidates
-included.  The verifier lives for that CEGIS run; only the shared AIGs
-(interned regions blast once) and their ``var_bits`` carry over to the
-next instruction.  Both sides run under a cooperative
+monotonically improve.  The verify side has one mode per pipeline: the
+fresh pipeline substitutes the candidate and solves a fresh, folded
+query; the unfolded ablation asserts the candidate beside the unreduced
+formula; the incremental pipeline (see ``repro.synthesis.incremental``)
+stages each candidate's folded negation, selector-guarded, into one
+persistent per-formula verifier — SAT variables and learned clauses
+survive across the iterations of the formula's run, polish's trial
+candidates included.  The verifier lives for that CEGIS run; only the
+shared AIGs (interned regions blast once) and their ``var_bits`` carry
+over to the next instruction.  Both sides run under a cooperative
 ``repro.runtime.Budget`` (wall clock, conflicts, memory) so Table 1's
 timeout rows reproduce faithfully, and every UNKNOWN is typed:
 
@@ -49,7 +50,7 @@ from repro.runtime import (
 )
 from repro.smt import counters as _counters
 from repro.smt import terms as T
-from repro.smt.backends import resolve_solver_config
+from repro.smt.backends import SolverConfig
 from repro.smt.solver import Solver, SAT, UNSAT, UNKNOWN
 from repro.synthesis.incremental import IncrementalContext
 from repro.synthesis.result import SynthesisFailure, SynthesisTimeout
@@ -97,22 +98,16 @@ class CegisStats:
 
 
 def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
-                stats=None, initial_candidate=None, partial_eval=True,
-                budget=None, retry_policy=None, incremental_ctx=None,
-                config=None, backend=None):
+                stats=None, initial_candidate=None, budget=None,
+                retry_policy=None, incremental_ctx=None, config=None):
     """Find ints for ``hole_vars`` making ``formula`` valid for all states.
 
     ``formula`` is a width-1 term whose free variables are ``hole_vars``
     plus the universally quantified state.  Returns ``{hole name: int}``.
 
-    ``partial_eval`` controls whether the verify step substitutes the
-    candidate constants into the formula (letting the rewriting constructors
-    collapse the datapath) or merely asserts ``hole == constant`` equalities
-    alongside the unreduced formula.  The latter exists for the ablation
-    study — it produces the full-datapath queries a rewrite-free evaluator
-    would send to the solver.
-
-    ``config.pipeline == "incremental"`` selects the persistent-verifier
+    ``config`` is a :class:`repro.smt.backends.SolverConfig` (``None``
+    means ``SolverConfig()``); its ``pipeline`` selects the verify
+    query.  ``"incremental"`` (the default) is the persistent-verifier
     mode: each candidate's folded ``¬formula`` is staged,
     selector-guarded, into the formula's long-lived verifier inside
     ``incremental_ctx`` (an
@@ -123,9 +118,12 @@ def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
     learned clauses that survive across the run's iterations.  Every exit
     of the run (solved, failure, timeout, unknown, interrupt) releases
     the formula's verifier (``IncrementalContext.release``): instructions
-    sharing the context share only its AIGs and ``var_bits``.  Any other
-    pipeline (``"fresh"``, or ``None`` for a bare call) takes the
-    substitution path, the ablation baseline.
+    sharing the context share only its AIGs and ``var_bits``.
+    ``"fresh"`` substitutes the candidate constants into the formula
+    (the rewriting constructors collapse the datapath) and solves it on
+    a new solver.  ``"unfolded"`` is the rewriter ablation: it asserts
+    ``hole == constant`` equalities beside the unreduced formula, the
+    full-datapath queries a rewrite-free evaluator would send.
 
     A verified candidate is polished before it is returned:
     ``_zero_polish`` lowers each hole, in order, to its smallest value
@@ -136,10 +134,8 @@ def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
     (``timeout`` is folded into it); ``retry_policy`` governs escalation on
     retryable UNKNOWNs.
 
-    ``config`` (a :class:`repro.smt.backends.SolverConfig`) or ``backend``
-    (a registered backend name / instance) selects the decision procedure
-    for every solver this run constructs, and ``config.pipeline`` the
-    verify mode.  Under ``backend="incremental-subprocess"`` every check
+    ``config.backend`` selects the decision procedure for every solver
+    this run constructs.  Under ``"incremental-subprocess"`` every check
     runs in a sandboxed child process: child deaths surface as retryable
     ``unknown(worker-crashed)``-style verdicts and flow through the same
     retry machinery as conflict-cap UNKNOWNs, landing each retry on a
@@ -150,15 +146,10 @@ def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
     ``SolverUnknown`` if the solver gave up for a non-budget reason even
     after retries.
     """
-    config = resolve_solver_config(config, backend=backend)
+    config = config or SolverConfig()
     incremental = config.pipeline == "incremental"
     if stats is None:
         stats = CegisStats()
-    if incremental and not partial_eval:
-        raise ValueError(
-            "incremental verify requires partial_eval=True; the "
-            "partial_eval=False ablation is the fresh-pipeline baseline"
-        )
     if budget is None:
         budget = Budget(timeout=timeout)
     elif timeout is not None:
@@ -169,8 +160,7 @@ def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
     try:
         return _cegis_loop(
             formula, hole_vars, max_iterations, stats, initial_candidate,
-            partial_eval, budget, retry_policy, config,
-            incremental, incremental_ctx,
+            budget, retry_policy, config, incremental_ctx,
         )
     finally:
         if incremental:
@@ -182,8 +172,7 @@ def cegis_solve(formula, hole_vars, max_iterations=256, timeout=None,
 
 
 def _cegis_loop(formula, hole_vars, max_iterations, stats, initial_candidate,
-                partial_eval, budget, retry_policy, config,
-                incremental, incremental_ctx):
+                budget, retry_policy, config, incremental_ctx):
     hole_names = {var.name for var in hole_vars}
     forall_vars = [
         var for var in T.free_variables(formula)
@@ -193,17 +182,16 @@ def _cegis_loop(formula, hole_vars, max_iterations, stats, initial_candidate,
     if initial_candidate:
         candidate.update(initial_candidate)
     hole_by_name = {var.name: var for var in hole_vars}
-    guess_blaster = incremental_ctx.guess_blaster if incremental else None
-    guess_solver = Solver(blaster=guess_blaster, **config.solver_kwargs())
-
-    verify_mode = ("incremental" if incremental
-                   else "substitution" if partial_eval else "ablation")
+    pipeline = config.pipeline
+    guess_blaster = (incremental_ctx.guess_blaster
+                     if pipeline == "incremental" else None)
+    guess_solver = Solver(blaster=guess_blaster, backend=config.backend)
 
     def verify_candidate(cand):
         """One verify check for ``cand``; returns (verdict, verifier)."""
         started = time.monotonic()
-        with _obs.span("cegis.verify", mode=verify_mode):
-            if incremental:
+        with _obs.span("cegis.verify", mode=pipeline):
+            if pipeline == "incremental":
                 # Fold the candidate's constants into the formula — the
                 # same datapath collapse the fresh pipeline gets — but
                 # decide the query on the formula's *persistent* folded
@@ -224,8 +212,8 @@ def _cegis_loop(formula, hole_vars, max_iterations, stats, initial_candidate,
                 conflicts_before = verifier.conflicts
                 verdict = _checked(verifier, budget, retry_policy, stats,
                                    side="verification", assumptions=[sel])
-            elif partial_eval:
-                verifier = Solver(**config.solver_kwargs())
+            elif pipeline == "fresh":
+                verifier = Solver(backend=config.backend)
                 conflicts_before = 0
                 substitution = {
                     hole_by_name[name]: T.bv_const(value,
@@ -236,7 +224,7 @@ def _cegis_loop(formula, hole_vars, max_iterations, stats, initial_candidate,
                 verdict = _checked(verifier, budget, retry_policy, stats,
                                    side="verification")
             else:
-                verifier = Solver(**config.solver_kwargs())
+                verifier = Solver(backend=config.backend)
                 conflicts_before = 0
                 verifier.add(T.bv_not(formula))
                 for name, value in cand.items():

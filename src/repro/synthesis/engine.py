@@ -22,11 +22,11 @@ from repro.runtime import Budget, BudgetExhausted, RetryPolicy, SolverUnknown
 from repro.smt import counters as _counters
 from repro.smt.backends import (
     SolverBackend,
+    SolverConfig,
     available_backends,
-    resolve_solver_config,
 )
 from repro.smt.backends.incremental_subprocess import reap_children
-from repro.synthesis.incremental import IncrementalContext, resolve_pipeline
+from repro.synthesis.incremental import IncrementalContext
 from repro.synthesis.independence import check_instruction_independence
 from repro.synthesis.monolithic import synthesize_monolithic_solutions
 from repro.synthesis.per_instruction import synthesize_instruction
@@ -43,9 +43,9 @@ __all__ = ["synthesize", "splice_control"]
 
 def synthesize(problem, mode="per_instruction", timeout=None,
                max_iterations=256, check_independence=True,
-               progress=None, partial_eval=True, budget=None,
-               retry_policy=None, on_timeout="raise", resume_from=None,
-               config=None, backend=None, checkpoint=None):
+               progress=None, budget=None, retry_policy=None,
+               on_timeout="raise", resume_from=None, config=None,
+               checkpoint=None):
     """Run control logic synthesis.
 
     Parameters
@@ -54,28 +54,25 @@ def synthesize(problem, mode="per_instruction", timeout=None,
         ``"per_instruction"`` (the Section 3.3.1 optimization, default) or
         ``"monolithic"`` (Equation (1), the Table 1 † configuration).
     config:
-        A :class:`repro.smt.backends.SolverConfig` bundling the solver
-        knobs, resolved exactly once at this boundary and threaded down
-        the whole stack.  ``config.backend`` is the decision procedure
-        for every solver check: a registered backend name
-        (``"inprocess"``, ``"incremental-subprocess"``,
-        ``"subprocess-dimacs"``, ``"portfolio"``, or anything added via
+        A :class:`repro.smt.backends.SolverConfig` (``None`` means
+        ``SolverConfig()``), threaded down the whole stack unchanged.
+        ``config.backend`` is the decision procedure for every solver
+        check: a registered backend name (``"inprocess"``,
+        ``"incremental-subprocess"``, ``"subprocess-dimacs"``,
+        ``"portfolio"``, or anything added via
         ``repro.smt.backends.register_backend``), a live
         ``SolverBackend`` instance, or ``None`` for the process default
         (``$REPRO_BACKEND`` or ``"inprocess"``).
         ``"incremental-subprocess"`` runs every check in a sandboxed
         child process; child deaths are classified and retried on a
         respawned child (the run defaults to a standard ``RetryPolicy``).
-        ``config.pipeline`` is ``"incremental"`` (default when
-        ``partial_eval`` is on: the sketch is evaluated once per problem
-        and each instruction's candidates are checked on a persistent
-        folded verifier) or ``"fresh"`` (re-evaluate and re-encode per
-        instruction and per iteration — the ablation baseline, and the
-        only pipeline the ``partial_eval=False`` rewriter ablation
-        supports).
-    backend:
-        Shorthand for ``config=SolverConfig(backend=...)``; mutually
-        exclusive with ``config``.
+        ``config.pipeline`` is ``"incremental"`` (the default: the
+        sketch is evaluated once per problem and each instruction's
+        candidates are checked on a persistent folded verifier),
+        ``"fresh"`` (re-evaluate and re-encode per instruction and per
+        iteration — the ablation baseline) or ``"unfolded"`` (the fresh
+        pipeline whose CEGIS verify skips folding the candidate in — the
+        rewriter ablation).
     timeout:
         Overall wall-clock budget in seconds; ``SynthesisTimeout`` is raised
         when exceeded (this is how the paper's Timeout row reproduces).
@@ -127,7 +124,7 @@ def synthesize(problem, mode="per_instruction", timeout=None,
         # Validate eagerly: a typo'd mode must not lurk until the first
         # run that actually times out.
         raise ValueError(f"unknown on_timeout mode {on_timeout!r}")
-    config = resolve_solver_config(config, backend=backend)
+    config = config or SolverConfig()
     backend_name = config.backend_name
     if (not isinstance(config.backend, SolverBackend)
             and backend_name not in available_backends()):
@@ -137,10 +134,6 @@ def synthesize(problem, mode="per_instruction", timeout=None,
             f"unknown solver backend {backend_name!r}; registered: "
             f"{', '.join(available_backends())}"
         )
-    pipeline = resolve_pipeline(config.pipeline, partial_eval)
-    # Freeze the resolved pipeline into the config so every downstream
-    # layer sees the same choice without re-resolving.
-    config = config.replace(pipeline=pipeline)
     if budget is None:
         budget = Budget(timeout=timeout)
     elif timeout is not None:
@@ -152,11 +145,11 @@ def synthesize(problem, mode="per_instruction", timeout=None,
         retry_policy = RetryPolicy()
     with reap_children(), _sigterm_degrades(), \
             _obs.span("synthesis.run", problem=problem.name, mode=mode,
-                      backend=backend_name, pipeline=pipeline):
+                      backend=backend_name, pipeline=config.pipeline):
         return _synthesize(
             problem, mode, started, max_iterations, check_independence,
-            progress, partial_eval, budget, retry_policy, on_timeout,
-            resume_from, config, pipeline, checkpoint,
+            progress, budget, retry_policy, on_timeout, resume_from,
+            config, checkpoint,
         )
 
 
@@ -191,10 +184,10 @@ def _sigterm_degrades():
 
 
 def _synthesize(problem, mode, started, max_iterations, check_independence,
-                progress, partial_eval, budget, retry_policy, on_timeout,
-                resume_from, config, pipeline, checkpoint=None):
+                progress, budget, retry_policy, on_timeout, resume_from,
+                config, checkpoint=None):
     stats = {"mode": mode, "backend": config.backend_name,
-             "pipeline": pipeline}
+             "pipeline": config.pipeline}
     encode_before = _counters.snapshot()
     # The trace's opening metrics snapshot is taken at the same point as
     # ``encode_before`` (and the closing one where ``stats["counters"]``
@@ -205,7 +198,7 @@ def _synthesize(problem, mode, started, max_iterations, check_independence,
     if resume_solutions:
         stats["resumed_instructions"] = sorted(resume_solutions)
     incremental_ctx = None
-    if pipeline == "incremental":
+    if config.pipeline == "incremental":
         # Build the shared trace (and every instruction's formula) up
         # front, and share one encode-once context across the
         # instruction loop.
@@ -239,7 +232,6 @@ def _synthesize(problem, mode, started, max_iterations, check_independence,
                         budget=budget.child(),
                         retry_policy=retry_policy,
                         max_iterations=max_iterations,
-                        partial_eval=partial_eval,
                         config=config,
                         incremental_ctx=incremental_ctx,
                     )

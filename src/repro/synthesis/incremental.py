@@ -80,7 +80,7 @@ from repro.obs.metrics import METRICS as _METRICS
 from repro.oyster.memory import SymbolicMemory
 from repro.oyster.symbolic import SymbolicEvaluator
 from repro.smt import terms as T
-from repro.smt.backends import resolve_solver_config
+from repro.smt.backends import SolverConfig
 from repro.smt.bitblast import BitBlaster
 from repro.smt.counters import COUNTERS
 from repro.smt.solver import Solver
@@ -90,34 +90,11 @@ __all__ = [
     "TraceCache",
     "TraceEntry",
     "IncrementalContext",
-    "resolve_pipeline",
     "candidate_assumptions",
 ]
 
 #: The shared evaluation prefix (fresh mode uses ``i{index}!`` instead).
 SHARED_PREFIX = "sh!"
-
-
-def resolve_pipeline(pipeline, partial_eval=True):
-    """Validate the ``pipeline`` knob; ``None`` selects the default.
-
-    The default is ``"incremental"`` — except under the rewriter ablation
-    (``partial_eval=False``), whose full-datapath verify queries are
-    defined against the fresh pipeline, so it keeps getting one.
-    Explicitly combining ``pipeline="incremental"`` with
-    ``partial_eval=False`` is a contradiction and raises.
-    """
-    if pipeline is None:
-        return "incremental" if partial_eval else "fresh"
-    if pipeline not in ("fresh", "incremental"):
-        raise ValueError(f"unknown pipeline {pipeline!r}")
-    if pipeline == "incremental" and not partial_eval:
-        raise ValueError(
-            "pipeline='incremental' requires partial_eval=True; the "
-            "rewriter ablation (partial_eval=False) is the fresh "
-            "pipeline's baseline"
-        )
-    return pipeline
 
 
 class TraceEntry:
@@ -266,7 +243,7 @@ class IncrementalContext:
     """
 
     def __init__(self, config=None):
-        self.config = resolve_solver_config(config)
+        self.config = config or SolverConfig()
         #: One AIG for every per-formula verifier: subterms interned
         #: across instructions blast once, while cone-of-influence
         #: encoding keeps each verifier's CNF scoped to its own formula.
@@ -298,7 +275,7 @@ class IncrementalContext:
         solver = self._folded.get(formula)
         if solver is None:
             solver = Solver(blaster=self.verifier_blaster,
-                            **self.config.solver_kwargs())
+                            backend=self.config.backend)
             self._folded[formula] = solver
         return solver
 

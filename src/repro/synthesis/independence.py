@@ -17,7 +17,7 @@ from repro.oyster.analysis import transitive_dependencies
 from repro.oyster.symbolic import SymbolicEvaluator
 from repro.runtime import RetryPolicy, SolverUnknown, run_with_retry
 from repro.smt import terms as T
-from repro.smt.backends import resolve_solver_config
+from repro.smt.backends import SolverConfig
 from repro.smt.solver import Solver, SAT, UNKNOWN
 from repro.synthesis.result import SynthesisError
 
@@ -37,9 +37,11 @@ def check_instruction_independence(problem, timeout_per_pair=5.0,
 
     The pairwise-exclusion check is skipped (with a returned note) when the
     number of instruction pairs exceeds ``max_pairwise``.  ``config`` is a
-    :class:`repro.smt.backends.SolverConfig`; its backend decides every
-    pair.
+    :class:`repro.smt.backends.SolverConfig` (``None`` means
+    ``SolverConfig()``); its backend decides every pair, whatever its
+    pipeline.
     """
+    config = config or SolverConfig()
     notes = []
     _check_no_feedback(problem)
     pair_count = len(problem.spec.instructions) ** 2
@@ -49,8 +51,7 @@ def check_instruction_independence(problem, timeout_per_pair=5.0,
             f"budget of {max_pairwise})"
         )
         return notes
-    _check_mutual_exclusion(problem, timeout_per_pair,
-                            resolve_solver_config(config))
+    _check_mutual_exclusion(problem, timeout_per_pair, config)
     return notes
 
 
@@ -92,7 +93,7 @@ def _check_mutual_exclusion(problem, timeout_per_pair, config):
         (instruction.name, compiler.compile_expr(instruction.decode))
         for instruction in problem.spec.instructions
     ]
-    solver = Solver(**config.solver_kwargs())
+    solver = Solver(backend=config.backend)
     solver.add(T.and_(*trace.side_conditions))
     for i in range(len(preconditions)):
         for j in range(i + 1, len(preconditions)):

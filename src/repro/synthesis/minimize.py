@@ -25,12 +25,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.smt import terms as T
-from repro.smt.backends import resolve_solver_config
+from repro.smt.backends import SolverConfig
 from repro.smt.solver import Solver, UNSAT
 from repro.synthesis.incremental import (
     IncrementalContext,
     candidate_assumptions,
-    resolve_pipeline,
 )
 from repro.synthesis.per_instruction import instruction_formula
 from repro.synthesis.result import InstructionSolution
@@ -81,7 +80,7 @@ def _verifies(formula, trace, hole_values, timeout, probe_hole, config,
         )
         for name, value in hole_values.items()
     }
-    solver = Solver(**config.solver_kwargs())
+    solver = Solver(backend=config.backend)
     solver.add(T.bv_not(T.substitute(formula, substitution)))
     return solver.check(timeout=timeout) is UNSAT
 
@@ -95,22 +94,22 @@ def minimize_solutions(problem, solutions, timeout_per_check=20.0,
     candidate merge values are tried per hole (most popular first) — the
     don't-care collapse almost always lands on the first.
 
-    ``config`` is a :class:`repro.smt.backends.SolverConfig`: its backend
-    serves every probe, and ``config.pipeline="incremental"`` (the
-    default) serves every formula from the problem's shared trace cache —
-    free when synthesis already ran incrementally — and runs all merge
-    probes as assumption checks against per-formula persistent verifiers;
-    ``"fresh"`` re-derives each formula under a ``min{index}!`` prefix and
-    builds a solver per probe.
+    ``config`` is a :class:`repro.smt.backends.SolverConfig` (``None``
+    means ``SolverConfig()``): its backend serves every probe, and
+    ``config.pipeline="incremental"`` (the default) serves every formula
+    from the problem's shared trace cache — free when synthesis already
+    ran incrementally — and runs all merge probes as assumption checks
+    against per-formula persistent verifiers; ``"fresh"`` and
+    ``"unfolded"`` re-derive each formula under a ``min{index}!`` prefix
+    and build a solver per probe.
     """
     started = time.monotonic()
-    config = resolve_solver_config(config)
-    pipeline = resolve_pipeline(config.pipeline)
+    config = config or SolverConfig()
     report = MinimizationReport()
     instructions = {i.name: i for i in problem.spec.instructions}
     formulas = {}
     ctx = None
-    if pipeline == "incremental":
+    if config.pipeline == "incremental":
         ctx = IncrementalContext(config)
         entry = problem.trace_cache().entry(problem)
         for solution in solutions:

@@ -17,9 +17,8 @@ import time
 from repro.ila.compiler import ConstraintCompiler
 from repro.oyster.symbolic import SymbolicEvaluator
 from repro.smt import terms as T
-from repro.smt.backends import resolve_solver_config
+from repro.smt.backends import SolverConfig
 from repro.synthesis.cegis import cegis_solve, CegisStats
-from repro.synthesis.incremental import resolve_pipeline
 from repro.synthesis.result import InstructionSolution, SynthesisError
 
 __all__ = ["synthesize_monolithic_solutions"]
@@ -27,29 +26,29 @@ __all__ = ["synthesize_monolithic_solutions"]
 
 def synthesize_monolithic_solutions(problem, timeout=None,
                                     max_iterations=256, budget=None,
-                                    retry_policy=None, config=None,
-                                    backend=None):
+                                    retry_policy=None, config=None):
     """Solve all instructions in one CEGIS query.
 
     Returns ``(solutions, stats)`` where ``solutions`` is one
     ``InstructionSolution`` per instruction (so the control union applies
     unchanged downstream).  ``budget``/``retry_policy`` are threaded into
-    the underlying CEGIS run; ``config``/``backend`` select the decision
-    procedure.
+    the underlying CEGIS run; ``config`` (a
+    :class:`repro.smt.backends.SolverConfig`; ``None`` means
+    ``SolverConfig()``) selects the decision procedure and the pipeline.
 
     ``config.pipeline="incremental"`` reuses the problem's shared
     :class:`~repro.synthesis.incremental.TraceCache` evaluation (instead
     of a private ``m!``-prefixed one) and runs the assumption-based CEGIS
     verify.  Conjoining the per-instruction formulas over the shared
     trace is sound because ∀ distributes over ∧: each conjunct constrains
-    the shared state exactly as its standalone query would.
+    the shared state exactly as its standalone query would.  ``"fresh"``
+    and ``"unfolded"`` build the formula from a private evaluation; they
+    differ only in CEGIS's verify query.
     """
     started = time.monotonic()
     spec = problem.spec
-    config = resolve_solver_config(config, backend=backend)
-    pipeline = resolve_pipeline(config.pipeline)
-    config = config.replace(pipeline=pipeline)
-    if pipeline == "incremental":
+    config = config or SolverConfig()
+    if config.pipeline == "incremental":
         entry = problem.trace_cache().entry(problem)
         prefix = entry.prefix
         trace = entry.trace

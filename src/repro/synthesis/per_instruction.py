@@ -15,9 +15,8 @@ from repro.obs import trace as _obs
 from repro.oyster.symbolic import SymbolicEvaluator
 from repro.smt import counters as _counters
 from repro.smt import terms as T
-from repro.smt.backends import resolve_solver_config
+from repro.smt.backends import SolverConfig
 from repro.synthesis.cegis import cegis_solve, CegisStats
-from repro.synthesis.incremental import resolve_pipeline
 from repro.synthesis.preprocess import resolve_equalities
 from repro.synthesis.result import InstructionSolution, SynthesisError
 
@@ -55,46 +54,41 @@ def instruction_formula(problem, instruction, prefix):
 
 
 def synthesize_instruction(problem, instruction, index, timeout=None,
-                           max_iterations=256, partial_eval=True,
-                           budget=None, retry_policy=None,
-                           incremental_ctx=None, config=None, backend=None):
+                           max_iterations=256, budget=None,
+                           retry_policy=None, incremental_ctx=None,
+                           config=None):
     """Solve the hole constants for one instruction; returns a solution.
 
     ``budget`` is a ``repro.runtime.Budget`` slice for this instruction
     (shared caps are enforced through its parent chain); ``retry_policy``
     governs restart-with-escalation on retryable UNKNOWNs.
 
-    ``config`` (a :class:`repro.smt.backends.SolverConfig`) or ``backend``
-    selects the decision procedure — e.g.
-    ``backend="incremental-subprocess"`` routes every solver check
-    through sandboxed child processes.
-    The config's ``pipeline`` field selects ``"fresh"`` (per-instruction
-    symbolic evaluation + per-iteration verifiers) or ``"incremental"``
-    (the problem's shared
+    ``config`` (a :class:`repro.smt.backends.SolverConfig`; ``None``
+    means ``SolverConfig()``) selects the decision procedure — e.g.
+    ``SolverConfig(backend="incremental-subprocess")`` routes every
+    solver check through sandboxed child processes — and the pipeline:
+    ``"incremental"`` (the problem's shared
     :class:`~repro.synthesis.incremental.TraceCache` trace + the
-    assumption-based verify mode); ``None`` resolves to incremental
-    unless ``partial_eval`` is disabled.  ``incremental_ctx`` shares one
-    encode-once verifier across a serial run of instructions.
+    persistent-verifier mode) or ``"fresh"``/``"unfolded"``
+    (per-instruction symbolic evaluation + per-iteration verifiers).
+    ``incremental_ctx`` shares one encode-once verifier across a serial
+    run of instructions.
     """
     started = time.monotonic()
-    config = resolve_solver_config(config, backend=backend)
-    pipeline = resolve_pipeline(config.pipeline, partial_eval)
-    config = config.replace(pipeline=pipeline)
+    config = config or SolverConfig()
     with _obs.span("synthesis.instruction", instr=instruction.name,
-                   pipeline=pipeline, backend=config.backend_name):
+                   pipeline=config.pipeline, backend=config.backend_name):
         return _synthesize_instruction(
             problem, instruction, index, started, timeout, max_iterations,
-            partial_eval, budget, retry_policy, config,
-            pipeline, incremental_ctx,
+            budget, retry_policy, config, incremental_ctx,
         )
 
 
 def _synthesize_instruction(problem, instruction, index, started, timeout,
-                            max_iterations, partial_eval, budget,
-                            retry_policy, config, pipeline,
+                            max_iterations, budget, retry_policy, config,
                             incremental_ctx):
     encode_before = _counters.snapshot()
-    if pipeline == "incremental":
+    if config.pipeline == "incremental":
         entry = problem.trace_cache().entry(problem)
         formula = entry.formulas[instruction.name]
         trace_holes = entry.trace.hole_values
@@ -115,8 +109,8 @@ def _synthesize_instruction(problem, instruction, index, started, timeout,
     stats = CegisStats()
     values_by_var = cegis_solve(
         formula, hole_vars, timeout=timeout, stats=stats,
-        max_iterations=max_iterations, partial_eval=partial_eval,
-        budget=budget, retry_policy=retry_policy, config=config,
+        max_iterations=max_iterations, budget=budget,
+        retry_policy=retry_policy, config=config,
         incremental_ctx=incremental_ctx,
     )
     hole_values = {

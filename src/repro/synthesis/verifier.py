@@ -19,7 +19,7 @@ from repro.oyster.symbolic import SymbolicEvaluator
 from repro.runtime import BudgetExhausted
 from repro.runtime.reasons import normalize_reason
 from repro.smt import terms as T
-from repro.smt.backends import resolve_solver_config
+from repro.smt.backends import SolverConfig
 from repro.smt.solver import Solver, SAT, UNSAT, UNKNOWN
 from repro.synthesis.preprocess import resolve_equalities
 
@@ -63,7 +63,7 @@ class VerificationResult:
 
 def verify_design(design, spec, alpha, const_mems=None, hole_values=None,
                   timeout_per_instruction=None, instructions=None,
-                  budget=None, config=None, backend=None):
+                  budget=None, config=None):
     """Check every instruction's pre→post on ``design``.
 
     ``hole_values`` allows verifying a sketch under concrete hole constants
@@ -75,11 +75,13 @@ def verify_design(design, spec, alpha, const_mems=None, hole_values=None,
     budget that trips (before or mid-check) yields a verdict of
     ``"unknown"`` whose ``reason`` names the exhausted cap (canonical, per
     ``repro.runtime.reasons``) — never a ``"proved"`` the solver did not
-    actually establish.  ``config``/``backend`` select the decision
-    procedure exactly as in synthesis.
+    actually establish.  ``config`` (a
+    :class:`repro.smt.backends.SolverConfig`; ``None`` means
+    ``SolverConfig()``) selects the decision procedure exactly as in
+    synthesis; every pipeline runs the same query here.
     """
     spec.validate()
-    config = resolve_solver_config(config, backend=backend)
+    config = config or SolverConfig()
     verdicts = []
     chosen = spec.instructions
     if instructions is not None:
@@ -117,7 +119,7 @@ def verify_design(design, spec, alpha, const_mems=None, hole_values=None,
                     compiled.consequent()
                 )
                 violation = T.and_(antecedent, T.bv_not(consequent))
-                solver = Solver(**config.solver_kwargs())
+                solver = Solver(backend=config.backend)
                 solver.add(violation)
                 verdict = solver.check(timeout=timeout_per_instruction,
                                        budget=budget)

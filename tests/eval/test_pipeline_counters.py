@@ -83,3 +83,21 @@ def test_default_search_is_pinned():
     assert counters["sat_trail_reuse_hits"] == 1
     for name, expected in alu_machine.REFERENCE_HOLE_VALUES.items():
         assert result.hole_values_for(name) == expected, name
+
+
+def test_unfolded_pipeline_is_pinned():
+    """The rewriter ablation's exact counts on the ALU machine.
+
+    ``"unfolded"`` is the fresh pipeline whose CEGIS verify asserts the
+    candidate beside the unreduced formula.  These are the counts the
+    ablation gave before it was a pipeline, when it was a separate
+    partial-evaluation switch on the fresh pipeline.
+    """
+    result, delta = _run("unfolded")
+    assert result.stats["pipeline"] == "unfolded"
+    assert sum(s.iterations for s in result.per_instruction) == 9
+    assert delta["solver_instances"] == 24
+    assert delta["aig_nodes"] == 22914
+    assert delta["tseitin_clauses"] == 64017
+    for name, expected in alu_machine.REFERENCE_HOLE_VALUES.items():
+        assert result.hole_values_for(name) == expected, name

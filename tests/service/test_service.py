@@ -24,6 +24,7 @@ from repro.service import (
 )
 from repro.service.problems import PROBLEMS, build_problem
 from repro.smt.backends import IncrementalSubprocessBackend, SolverConfig
+from repro.smt.backends.registry import BACKEND_ENV
 
 _FAST_RETRY = RetryPolicy(backoff=0.001, backoff_ceiling=0.002)
 
@@ -291,7 +292,8 @@ def test_drain_checkpoints_inflight_job_and_restart_finishes(tmp_path):
         svc2.shutdown(timeout=10.0)
 
 
-def test_idempotency_key_is_content_addressed():
+def test_idempotency_key_is_content_addressed(monkeypatch):
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
     problem = build_problem("accumulator")
     again = build_problem("accumulator")
     assert idempotency_key(problem) == idempotency_key(again)
@@ -306,3 +308,15 @@ def test_idempotency_key_is_content_addressed():
         problem, config=SolverConfig(backend="incremental-subprocess"))
     other = build_problem("alu_machine")
     assert idempotency_key(problem) != idempotency_key(other)
+    # ``None`` keys exactly as the default config it runs under.
+    default = idempotency_key(problem)
+    assert default == idempotency_key(problem, config=SolverConfig())
+    assert default == idempotency_key(
+        problem, config=SolverConfig(pipeline="incremental"))
+    assert default != idempotency_key(
+        problem, config=SolverConfig(pipeline="fresh"))
+    # Under $REPRO_BACKEND a ``None`` config runs that backend.
+    monkeypatch.setenv(BACKEND_ENV, "incremental-subprocess")
+    assert idempotency_key(problem) == idempotency_key(
+        problem, config=SolverConfig(backend="incremental-subprocess"))
+    assert idempotency_key(problem) != default

@@ -124,7 +124,7 @@ def test_every_backend_result_verifies_independently(results_by_backend):
 
 
 def _solver_for(backend_name):
-    return Solver(**_make_config(backend_name).solver_kwargs())
+    return Solver(backend=_make_config(backend_name).backend)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)

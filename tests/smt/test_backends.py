@@ -4,8 +4,8 @@ Three layers under test:
 
 * the registry (``available_backends`` / ``register_backend`` /
   ``resolve_backend``) and the capability table it reports;
-* ``SolverConfig`` + ``resolve_solver_config`` — the one way to say how
-  checks run (a backend and a pipeline, nothing else);
+* ``SolverConfig`` — the one way to say how checks run (a backend and
+  one of three pipelines, nothing else);
 * the ``subprocess-dimacs`` backend's full failure taxonomy, driven
   hermetically by ``fake_sat_solver.py``'s misbehavior flags.
 """
@@ -30,7 +30,6 @@ from repro.smt.backends import (
     backend_capabilities,
     register_backend,
     resolve_backend,
-    resolve_solver_config,
 )
 from repro.smt.backends import registry as _registry
 from repro.smt.backends.inprocess import InProcessBackend
@@ -141,23 +140,23 @@ def test_solver_config_has_exactly_backend_and_pipeline():
     assert fields == ["backend", "pipeline"]
 
 
-def test_config_passes_through_untouched():
-    config = SolverConfig(backend="inprocess", pipeline="fresh")
-    assert resolve_solver_config(config=config) is config
+def test_solver_config_defaults_to_incremental_and_takes_three_pipelines():
+    assert SolverConfig().pipeline == "incremental"
+    assert SolverConfig() == SolverConfig(pipeline="incremental")
+    for pipeline in ("incremental", "fresh", "unfolded"):
+        assert SolverConfig(pipeline=pipeline).pipeline == pipeline
 
 
-def test_config_plus_knobs_is_a_contradiction():
-    config = SolverConfig()
-    with pytest.raises(ValueError, match="not both"):
-        resolve_solver_config(config=config, backend="inprocess")
-    assert resolve_solver_config(backend="inprocess").backend_name \
-        == "inprocess"
+@pytest.mark.parametrize("pipeline", [None, "", "Fresh", "substitution"])
+def test_solver_config_rejects_none_and_unknown_pipelines(pipeline):
+    with pytest.raises(ValueError, match="unknown pipeline"):
+        SolverConfig(pipeline=pipeline)
 
 
-def test_solver_config_solver_kwargs_round_trip():
+def test_solver_config_backend_instance_reaches_solver():
     backend = SubprocessDimacsBackend(command=_fake_command())
     config = SolverConfig(backend=backend)
-    solver = Solver(**config.solver_kwargs())
+    solver = Solver(backend=config.backend)
     assert solver.backend is backend
     assert solver.backend_name == "subprocess-dimacs"
 

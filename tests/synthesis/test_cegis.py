@@ -3,6 +3,7 @@
 import pytest
 
 from repro.smt import terms as T
+from repro.smt.backends import SolverConfig
 from repro.synthesis.cegis import CegisStats, cegis_solve
 from repro.synthesis.result import SynthesisFailure, SynthesisTimeout
 
@@ -96,14 +97,30 @@ def test_initial_candidate_respected():
 
 
 def test_partial_eval_off_agrees():
+    # The rewriter ablation ("unfolded": no partial evaluation of the
+    # candidate in the verify step) against the folded fresh verify.
     h = T.bv_var("h10", 4)
     x = T.bv_var("x10", 4)
     formula = T.bv_eq(T.bv_or(x, h), T.bv_or(x, T.bv_const(6, 4)))
-    with_fold = cegis_solve(formula, [h], partial_eval=True)
-    without_fold = cegis_solve(formula, [h], partial_eval=False)
+    with_fold = cegis_solve(formula, [h],
+                            config=SolverConfig(pipeline="fresh"))
+    without_fold = cegis_solve(formula, [h],
+                               config=SolverConfig(pipeline="unfolded"))
     # Both must produce *valid* solutions (6 or supersets indistinguishable
     # under or with x — here only 6 works since x ranges over everything).
     assert with_fold == without_fold == {"h10": 6}
+
+
+def test_bare_cegis_solve_runs_the_default_incremental_pipeline():
+    # A bare call takes SolverConfig(), as synthesize does: one guess
+    # solver plus the formula's one persistent verifier.  The fresh
+    # path would build a verifier per verify and per polish probe.
+    h = T.bv_var("h12", 8)
+    x = T.bv_var("x12", 8)
+    formula = T.bv_eq(T.bv_add(x, h), T.bv_add(x, T.bv_const(5, 8)))
+    stats = CegisStats()
+    assert cegis_solve(formula, [h], stats=stats) == {"h12": 5}
+    assert stats.solver_instances == 2
 
 
 def test_formula_with_no_forall_vars():
